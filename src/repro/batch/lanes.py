@@ -135,7 +135,8 @@ from ..schedulers.membooking import (
     dispatch_memory,
     run_membooking_activation,
 )
-from ..schedulers.validation import memory_profile
+from ..schedulers.validation import memory_profile  # noqa: F401  (tracers patch it by module)
+from ..schedulers.validation import resident_peak
 
 __all__ = [
     "ActivationLaneKernel",
@@ -1207,7 +1208,7 @@ def simulate_lanes(
         peak = peaks.get(key)
         is_clone = peak is not None
         if peak is None:
-            peak = peaks[key] = memory_profile(tree, result).peak
+            peak = peaks[key] = resident_peak(tree, result, native)
         result.peak_memory = peak
         outcomes.append((result, is_clone))
     return outcomes

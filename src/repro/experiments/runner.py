@@ -249,7 +249,7 @@ def complete_record(
     tree = context.tree
     memory_limit = memory_factor * context.minimum_memory
     if run_validation and config.validate and result.completed:
-        validate_schedule(tree, result).raise_if_invalid()
+        validate_schedule(tree, result, native=config.native).raise_if_invalid()
     # Same values as ``repro.bounds.lower_bounds`` with the tree-pure parts
     # (critical path, memory-time demand) read from the per-tree context.
     bounds = LowerBounds(

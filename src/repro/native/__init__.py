@@ -20,7 +20,7 @@ import os
 
 from .abi import NativeKernels, load_kernels
 from .build import NativeBuildError, build_library
-from .api import NativeOutcome, NativePlanes, simulate
+from .api import NativeOutcome, NativePlanes, check_schedule, simulate
 
 __all__ = [
     "NativeBuildError",
@@ -28,6 +28,7 @@ __all__ = [
     "NativeOutcome",
     "NativePlanes",
     "NativeUnavailableError",
+    "check_schedule",
     "native_kernels",
     "reset_native_cache",
     "simulate",

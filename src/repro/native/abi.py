@@ -20,6 +20,10 @@ FAIL_T0 = 1
 FAIL_DEADLOCK = 2
 FAIL_LEDGER = 3
 
+#: ``memtree_check_schedule`` result bits (0 = the schedule is feasible).
+CHECK_DEFER = 1
+CHECK_PEAK_ONLY = 1  # the flags argument: compute the peak only
+
 
 class MemtreeStats(ctypes.Structure):
     _fields_ = [
@@ -85,6 +89,23 @@ _MEMBOOKING_ARGTYPES = [
     ctypes.POINTER(MemtreeStats),
 ]
 
+_CHECK_ARGTYPES = [
+    _I64,  # n
+    _I64,  # num_processors
+    _I64,  # completed
+    _I64,  # flags
+    _F64,  # tolerance
+    _F64,  # memory_limit
+    _PTR,  # parent (i64)
+    _PTR,  # ptime (f64)
+    _PTR,  # nexec (f64)
+    _PTR,  # fout (f64)
+    _PTR,  # start (f64)
+    _PTR,  # finish (f64)
+    _PTR,  # proc (i64)
+    ctypes.POINTER(ctypes.c_double),  # peak out
+]
+
 
 @dataclass(frozen=True)
 class NativeKernels:
@@ -93,6 +114,7 @@ class NativeKernels:
     path: Path
     activation_run: ctypes._CFuncPtr  # type: ignore[name-defined]
     membooking_run: ctypes._CFuncPtr  # type: ignore[name-defined]
+    check_schedule: ctypes._CFuncPtr  # type: ignore[name-defined]
 
 
 def load_kernels(path: Path) -> NativeKernels:
@@ -112,4 +134,12 @@ def load_kernels(path: Path) -> NativeKernels:
     membooking = lib.memtree_membooking_run
     membooking.restype = ctypes.c_int
     membooking.argtypes = _MEMBOOKING_ARGTYPES
-    return NativeKernels(path=path, activation_run=activation, membooking_run=membooking)
+    check = lib.memtree_check_schedule
+    check.restype = ctypes.c_int64
+    check.argtypes = _CHECK_ARGTYPES
+    return NativeKernels(
+        path=path,
+        activation_run=activation,
+        membooking_run=membooking,
+        check_schedule=check,
+    )

@@ -6,16 +6,30 @@ of a :class:`~repro.schedulers.engine.SimWorkspace`, allocates the output
 arrays, performs the single C call, and translates the returned stats
 struct into the exact Python-side artefacts -- including the verbatim
 failure strings and the ledger ``RuntimeError`` the scalar kernels raise.
+
+``check_schedule`` is the native half of
+:func:`repro.schedulers.validation.validate_schedule`: one C call returns a
+violation mask and the resident-memory peak of a finished schedule.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .abi import FAIL_DEADLOCK, FAIL_LEDGER, FAIL_NONE, FAIL_T0, MemtreeStats, NativeKernels
+from .abi import (
+    CHECK_DEFER,
+    CHECK_PEAK_ONLY,
+    FAIL_DEADLOCK,
+    FAIL_LEDGER,
+    FAIL_NONE,
+    FAIL_T0,
+    MemtreeStats,
+    NativeKernels,
+)
 
 _T0_FAILURE = (
     "no task can be started at t=0: "
@@ -174,3 +188,62 @@ def simulate(
         starve_min=int(stats.starve_min),
         bound_need=float(stats.bound_need),
     )
+
+
+def _plane(array: np.ndarray, dtype: type, n: int) -> np.ndarray | None:
+    """``array`` as a contiguous ``dtype`` plane of length ``n``, or ``None``
+    when it is not one already (the C check reads raw pointers)."""
+    if array.dtype != dtype or array.shape != (n,):
+        return None
+    return np.ascontiguousarray(array)
+
+
+def check_schedule(
+    kernels: NativeKernels,
+    tree: Any,
+    result: Any,
+    *,
+    tolerance: float = 1e-6,
+    peak_only: bool = False,
+) -> tuple[int, float]:
+    """Check one schedule in C: ``(violation mask, resident peak)``.
+
+    A zero mask means the schedule is feasible and the peak equals
+    ``memory_profile(tree, result).peak`` bit for bit.  Any other mask --
+    including ``CHECK_DEFER`` for inputs the kernel does not decide, such as
+    mistyped planes -- means "ask numpy".  ``peak_only`` skips the
+    feasibility checks: a zero mask then only vouches for the peak.
+    """
+    n = tree.n
+    planes = (
+        _plane(tree.parent, np.int64, n),
+        _plane(tree.ptime, np.float64, n),
+        _plane(tree.nexec, np.float64, n),
+        _plane(tree.fout, np.float64, n),
+        _plane(result.start_times, np.float64, n),
+        _plane(result.finish_times, np.float64, n),
+        _plane(result.processor, np.int64, n),
+    )
+    if any(plane is None for plane in planes):
+        return CHECK_DEFER, float("nan")
+    parent, ptime, nexec, fout, start, finish, proc = planes
+    peak = ctypes.c_double()
+    mask = kernels.check_schedule(
+        n,
+        int(result.num_processors),
+        1 if result.completed else 0,
+        CHECK_PEAK_ONLY if peak_only else 0,
+        float(tolerance),
+        float(result.memory_limit),
+        _ptr(parent),
+        _ptr(ptime),
+        _ptr(nexec),
+        _ptr(fout),
+        _ptr(start),
+        _ptr(finish),
+        _ptr(proc),
+        ctypes.byref(peak),
+    )
+    if mask < 0:  # pragma: no cover - allocation failure
+        raise MemoryError("native schedule check scratch allocation failed")
+    return mask, peak.value

@@ -23,7 +23,7 @@ from pathlib import Path
 
 #: Bumped whenever the C <-> Python struct/signature contract changes; part
 #: of the cache key so stale shared objects can never be loaded.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: Flags are part of the bit-identity contract: -ffp-contract=off forbids
 #: fused multiply-adds so every double op matches CPython's, and there is

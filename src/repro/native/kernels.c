@@ -28,6 +28,13 @@
  * (repro.batch.lanes._run_batch) so the batched backend's collapse
  * decisions are identical whichever implementation simulated a lane.  The
  * scalar engine ignores them.
+ *
+ * memtree_check_schedule is the native half of validate_schedule and
+ * memory_profile (repro.schedulers.validation).  Its contract is accept or
+ * defer: it returns 0 only for a schedule the numpy checks accept too, and
+ * then its resident peak is bit-identical to memory_profile's.  Any other
+ * result -- a violation, or an input it does not decide -- sends the caller
+ * to the numpy checks, which word every report.
  */
 
 #include <math.h>
@@ -35,7 +42,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define MEMTREE_ABI_VERSION 1
+#define MEMTREE_ABI_VERSION 2
 #define UNSCHEDULED (-1)
 #define BBS_UNSET (-1.0)
 
@@ -706,4 +713,212 @@ int memtree_membooking_run(
     stats->bound_need = s.bound_need;
     free(arena);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Schedule check: the feasibility checks of validate_schedule and the */
+/* resident-memory peak of memory_profile, one stable sort per call.   */
+/* ------------------------------------------------------------------ */
+
+/* Result bits.  CHECK_DEFER means "cannot decide here": the caller runs
+ * the numpy checks, which also word every error message. */
+#define CHECK_DEFER 1       /* finish not finite for a task that started,
+                               an infinite or negative instant, a
+                               processor id outside [0, min(p, n)) or a
+                               parent id outside [-1, n) */
+#define CHECK_TASKS 2       /* completion claim, durations, start < 0,
+                               task ran without a processor */
+#define CHECK_PRECEDENCE 4
+#define CHECK_PROCESSORS 8  /* more than p tasks run at one instant */
+#define CHECK_OVERLAP 16    /* adjacent tasks overlap on one processor
+                               (conservative: equal starts also flag) */
+#define CHECK_MEMORY 32     /* resident peak above the bound */
+#define CHECK_PEAK_ONLY 1   /* flags: compute the peak, skip the checks */
+
+/* Stable LSD radix sort of (key, idx) pairs by unsigned key, one byte per
+ * pass; a pass whose byte is the same for every key is skipped.  Instants
+ * are sorted by their bit patterns, which order like the values for
+ * non-negative doubles.  tkey/tidx are scratch of the same length. */
+static void sort_pairs(uint64_t *key, int64_t *idx, uint64_t *tkey, int64_t *tidx, int64_t m) {
+    int64_t count[8][256];
+    memset(count, 0, sizeof(count));
+    for (int64_t i = 0; i < m; i++)
+        for (int d = 0; d < 8; d++) count[d][(key[i] >> (8 * d)) & 255]++;
+    uint64_t *sk = key, *dk = tkey;
+    int64_t *si = idx, *di = tidx;
+    for (int d = 0; d < 8 && m > 0; d++) {
+        int64_t *c = count[d];
+        if (c[(sk[0] >> (8 * d)) & 255] == m) continue;
+        for (int64_t b = 0, sum = 0; b < 256; b++) {
+            int64_t k = c[b];
+            c[b] = sum;
+            sum += k;
+        }
+        for (int64_t i = 0; i < m; i++) {
+            int64_t o = c[(sk[i] >> (8 * d)) & 255]++;
+            dk[o] = sk[i];
+            di[o] = si[i];
+        }
+        uint64_t *t = sk; sk = dk; dk = t;
+        int64_t *u = si; si = di; di = u;
+    }
+    if (sk != key) {
+        memcpy(key, sk, (size_t)m * sizeof(uint64_t));
+        memcpy(idx, si, (size_t)m * sizeof(int64_t));
+    }
+}
+
+/* The sort key of an instant: its bit pattern, with -0.0 folded into 0.0. */
+static uint64_t instant_key(double t) {
+    uint64_t bits;
+    t += 0.0;
+    memcpy(&bits, &t, sizeof(bits));
+    return bits;
+}
+
+/* Returns a CHECK_* mask (0 = feasible) and the resident peak in *peak_out,
+ * or -1 when scratch allocation fails.
+ *
+ * Accept-or-defer contract: a 0 result implies validate_schedule's numpy
+ * checks accept the schedule too, and *peak_out is then bit-identical to
+ * memory_profile(tree, result).peak.  Any nonzero result sends the caller
+ * to numpy, so this kernel never words an error.
+ *
+ * The peak is bit-identical because the running sum visits the instants in
+ * ascending order (the sort), and each instant's deltas are added in
+ * memory_profile's concatenation order: exec starts, exec finishes, output
+ * starts, output releases, each by ascending node.  The sort is stable over
+ * [starts by node, finishes by node], so an instant's starts precede its
+ * finishes and both are in node order; releases are gathered per instant. */
+int64_t memtree_check_schedule(
+    int64_t n, int64_t num_processors, int64_t completed, int64_t flags,
+    double tolerance, double memory_limit,
+    const int64_t *parent, const double *ptime, const double *nexec, const double *fout,
+    const double *start, const double *finish, const int64_t *proc, double *peak_out) {
+    int checks = !(flags & CHECK_PEAK_ONLY);
+    int64_t nproc = num_processors < n ? num_processors : n;
+    double scale = 1.0;
+    int64_t m = 0;
+    *peak_out = NAN;
+    for (int64_t i = 0; i < n; i++) {
+        double f = finish[i];
+        if (parent[i] < -1 || parent[i] >= n) return CHECK_DEFER;
+        if (!isnan(f)) {
+            if (isinf(f) || f < 0.0) return CHECK_DEFER;
+            if (f > scale) scale = f;
+        }
+        if (isfinite(start[i])) {
+            if (isnan(f) || start[i] < 0.0) return CHECK_DEFER;
+            if (checks && proc[i] != UNSCHEDULED && (proc[i] < 0 || proc[i] >= nproc))
+                return CHECK_DEFER;
+            m++;
+        }
+    }
+    double tol = tolerance * scale;
+    int64_t mask = 0;
+
+    size_t bytes = (size_t)(4 * m) * (sizeof(uint64_t) + sizeof(int64_t))
+                   + (size_t)(n + 1 + m + (nproc > 0 ? nproc : 1)) * sizeof(int64_t);
+    uint8_t *arena = (uint8_t *)malloc(bytes ? bytes : 1);
+    if (arena == NULL) return -1;
+    uint64_t *key = (uint64_t *)arena;  /* 2m sorted instants */
+    uint64_t *tkey = key + 2 * m;       /* 2m scratch */
+    int64_t *idx = (int64_t *)(tkey + 2 * m);  /* node (start) or n + node (finish) */
+    int64_t *tidx = idx + 2 * m;
+    int64_t *kid_off = tidx + 2 * m; /* released children per parent (CSR) */
+    int64_t *kids = kid_off + n + 1;
+    int64_t *last = kids + m;        /* last busy task seen per processor */
+
+    /* Linear checks (1: tasks, 2: precedence) and the event arrays. */
+    int64_t e = 0;
+    memset(kid_off, 0, (size_t)(n + 1) * sizeof(int64_t));
+    for (int64_t i = 0; i < n; i++) {
+        int ran = isfinite(start[i]);
+        int64_t q = parent[i];
+        if (ran) {
+            key[e] = instant_key(start[i]);
+            idx[e] = i;
+            key[m + e] = instant_key(finish[i]);
+            idx[m + e] = n + i;
+            e++;
+            if (q >= 0 && fout[i] > 0 && isfinite(start[q])) kid_off[q + 1]++;
+        }
+        if (!checks) continue;
+        if (!ran) {
+            if (completed) mask |= CHECK_TASKS;
+        } else if (fabs((finish[i] - start[i]) - ptime[i]) > tol || start[i] < -tol
+                   || proc[i] == UNSCHEDULED) {
+            mask |= CHECK_TASKS;
+        }
+        if (q >= 0 && isfinite(start[q])) {
+            if (!ran || start[q] < finish[i] - tol) mask |= CHECK_PRECEDENCE;
+        }
+    }
+    for (int64_t q = 0; q < n; q++) kid_off[q + 1] += kid_off[q];
+    for (int64_t i = 0; i < n; i++) {  /* ascending i: each list is in node order */
+        int64_t q = parent[i];
+        if (q >= 0 && fout[i] > 0 && isfinite(start[i]) && isfinite(start[q]))
+            kids[kid_off[q]++] = i;
+    }
+    for (int64_t q = n; q > 0; q--) kid_off[q] = kid_off[q - 1];
+    kid_off[0] = 0;
+    for (int64_t k = 0; k < nproc; k++) last[k] = -1;
+
+    sort_pairs(key, idx, tkey, tidx, 2 * m);
+
+    /* memory_profile's profile always holds 0.0 at t=0; when no instant is
+     * 0 that sentinel is an instant of its own. */
+    double run = 0.0, peak = (m == 0 || key[0] != 0) ? 0.0 : -INFINITY;
+    int64_t running = 0;
+    for (int64_t g0 = 0, g1; g0 < 2 * m; g0 = g1) {
+        uint64_t t = key[g0];
+        int64_t h = g0;
+        for (g1 = g0; g1 < 2 * m && key[g1] == t; g1++)
+            if (idx[g1] < n) h = g1 + 1;  /* starts precede finishes */
+        double s = 0.0;
+        for (int64_t k = g0; k < h; k++)
+            if (nexec[idx[k]] > 0) s += nexec[idx[k]];
+        for (int64_t k = h; k < g1; k++)
+            if (nexec[idx[k] - n] > 0) s -= nexec[idx[k] - n];
+        for (int64_t k = g0; k < h; k++)
+            if (fout[idx[k]] > 0) s += fout[idx[k]];
+        /* Releases: children of the tasks finishing now, by ascending
+         * child; a merge is needed only when several parents release. */
+        int64_t released = 0, parents = 0;
+        for (int64_t k = h; k < g1; k++) {
+            int64_t q = idx[k] - n;
+            if (kid_off[q + 1] == kid_off[q]) continue;
+            parents++;
+            for (int64_t c = kid_off[q]; c < kid_off[q + 1]; c++) {
+                tkey[released] = (uint64_t)kids[c];
+                tidx[released++] = kids[c];
+            }
+        }
+        if (parents > 1) sort_pairs(tkey, tidx, tkey + m, tidx + m, released);
+        for (int64_t c = 0; c < released; c++) s -= fout[tidx[c]];
+        run += s;
+        if (run > peak) peak = run;
+        if (!checks) continue;
+
+        /* 3: finishes free processors before the instant's starts take them. */
+        for (int64_t k = h; k < g1; k++)
+            if (ptime[idx[k] - n] > 0) running--;
+        for (int64_t k = g0; k < h; k++) {
+            int64_t i = idx[k];
+            if (!(ptime[i] > 0)) continue;
+            running++;
+            /* 4: the previous task on this processor in (start, node) order;
+             * without equal starts that is numpy's (start, finish) order. */
+            if (proc[i] == UNSCHEDULED) continue;
+            int64_t j = last[proc[i]];
+            if (j >= 0 && (start[j] == start[i] || start[i] < finish[j] - tol))
+                mask |= CHECK_OVERLAP;
+            last[proc[i]] = i;
+        }
+        if (running > num_processors) mask |= CHECK_PROCESSORS;
+    }
+    if (checks && peak > memory_limit * (1 + tolerance) + tol) mask |= CHECK_MEMORY;
+    *peak_out = peak;
+    free(arena);
+    return mask;
 }

@@ -79,7 +79,8 @@ from ..analysis.registry import hot_kernel
 from ..core.task_tree import NO_PARENT, TaskTree
 from ..orders import Ordering
 from .base import UNSCHEDULED, ReadyQueue, ScheduleResult, Scheduler
-from .validation import memory_profile
+from .validation import memory_profile  # noqa: F401  (tracers patch it by module)
+from .validation import resident_peak
 
 __all__ = ["EventDrivenScheduler", "SimWorkspace"]
 
@@ -325,6 +326,12 @@ class EventDrivenScheduler(Scheduler):
     #: :attr:`ready_queue` and the ``_pop_ready_task`` hook.
     ready_heap: list[tuple[int, int]] | None = None
 
+    #: Whether :meth:`_run` fills ``peak_memory`` (the resident peak of the
+    #: tree it simulated).  A subclass that simulates a transformed tree and
+    #: reports the peak of the original one turns it off, so the inner peak
+    #: is never computed only to be thrown away.
+    peak_on_run: bool = True
+
     # ------------------------------------------------------------------ #
     # hooks to be provided by subclasses
     # ------------------------------------------------------------------ #
@@ -420,21 +427,24 @@ class EventDrivenScheduler(Scheduler):
             # invariant hook and whose engine hooks are the stock ones;
             # everything else (and AUTO mode without a compiler) falls
             # through to the Python kernels.
+            result = None
             if invariant_hook is None and self._native_hooks_intact():
                 result = self._run_native(
                     tree, num_processors, memory_limit, ao, eo, workspace=workspace
                 )
-                if result is not None:
-                    return result
-            return self._run_simulation(
-                tree,
-                num_processors,
-                memory_limit,
-                ao,
-                eo,
-                invariant_hook=invariant_hook,
-                workspace=workspace,
-            )
+            if result is None:
+                result = self._run_simulation(
+                    tree,
+                    num_processors,
+                    memory_limit,
+                    ao,
+                    eo,
+                    invariant_hook=invariant_hook,
+                    workspace=workspace,
+                )
+            if self.peak_on_run:
+                result.peak_memory = resident_peak(tree, result, self.native)
+            return result
         finally:
             # Clear the per-run references even when a hook raises, so a
             # long-lived scheduler object never pins the last tree.
@@ -520,7 +530,6 @@ class EventDrivenScheduler(Scheduler):
             failure_reason=outcome.failure,
             extras=outcome.extras,
         )
-        result.peak_memory = memory_profile(tree, result).peak
         return result
 
     @hot_kernel(note="scalar event loop (Algorithm 2 skeleton)")
@@ -702,5 +711,4 @@ class EventDrivenScheduler(Scheduler):
             failure_reason=failure,
             extras=self._extra_results(),
         )
-        result.peak_memory = memory_profile(tree, result).peak
         return result

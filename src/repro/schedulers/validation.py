@@ -19,8 +19,18 @@ feasibility condition of the model:
 4. no two tasks overlap on the same processor;
 5. the resident memory never exceeds the bound ``M``.
 
-These checks are used pervasively by the test-suite and are cheap enough
-(``O(n log n)``) to run inside the experiment harness as a safety net.
+These checks run on every schedule of a sweep (``SweepConfig.validate``),
+so with the native kernel plane loaded both functions first ask the C
+kernel ``memtree_check_schedule`` (:func:`repro.native.check_schedule`):
+one stable sort of the start and finish instants, then linear passes.
+Its contract is *accept or defer*: when C finds the schedule feasible,
+:func:`validate_schedule` returns ``ValidationReport(True, (), peak)``
+with ``peak`` bit-identical to ``memory_profile(...).peak``; on any
+violation, or on inputs it does not decide (a started task without a
+finite finish, a negative instant, a processor id out of range), the numpy
+checks below run unchanged and word the report.  So C can only accept a
+schedule that numpy accepts, and every report is the same either way.
+:func:`resident_peak` is the peak-only twin the schedulers call.
 """
 
 from __future__ import annotations
@@ -32,7 +42,13 @@ import numpy as np
 from ..core.task_tree import NO_PARENT, TaskTree
 from .base import UNSCHEDULED, ScheduleResult
 
-__all__ = ["MemoryProfile", "memory_profile", "validate_schedule", "ValidationReport"]
+__all__ = [
+    "MemoryProfile",
+    "memory_profile",
+    "resident_peak",
+    "validate_schedule",
+    "ValidationReport",
+]
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,39 @@ def memory_profile(tree: TaskTree, result: ScheduleResult) -> MemoryProfile:
     return MemoryProfile(times=unique_times, memory=memory)
 
 
+def _native_check(
+    tree: TaskTree,
+    result: ScheduleResult,
+    native: bool | None,
+    tolerance: float,
+    peak_only: bool,
+) -> float | None:
+    """The C check's peak when it accepts the schedule, else ``None``."""
+    from ..native import check_schedule, native_kernels  # lazy: ctypes + build
+
+    kernels = native_kernels(native)
+    if kernels is None:
+        return None
+    mask, peak = check_schedule(
+        kernels, tree, result, tolerance=tolerance, peak_only=peak_only
+    )
+    return peak if mask == 0 else None
+
+
+def resident_peak(
+    tree: TaskTree, result: ScheduleResult, native: bool | None = None
+) -> float:
+    """``memory_profile(tree, result).peak``, through C when it is loaded.
+
+    ``native`` resolves like ``SweepConfig.native``: ``False`` never
+    reaches C, ``None`` defers to ``REPRO_NATIVE``.
+    """
+    peak = _native_check(tree, result, native, 0.0, True)
+    if peak is None:
+        peak = memory_profile(tree, result).peak
+    return peak
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate_schedule`."""
@@ -156,14 +205,20 @@ def validate_schedule(
     result: ScheduleResult,
     *,
     tolerance: float = 1e-6,
+    native: bool | None = None,
 ) -> ValidationReport:
     """Check a completed schedule against every constraint of the model.
 
     For a schedule with ``completed=False`` the function only verifies the
     consistency of the part that did run (durations, precedence among the
     executed tasks, processor and memory constraints up to the failure
-    point).
+    point).  ``native`` selects the C check as :func:`resident_peak` does;
+    the report is the same either way (see the module docstring).
     """
+    peak = _native_check(tree, result, native, tolerance, False)
+    if peak is not None:
+        return ValidationReport(valid=True, errors=(), peak_memory=peak)
+
     errors: list[str] = []
     start = result.start_times
     finish = result.finish_times

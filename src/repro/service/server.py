@@ -514,6 +514,12 @@ class SchedulerDaemon:
         self._stop.set()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # On Linux close() alone does not wake the accept() blocked in
+            # _accept_loop; shutdown() does, so the join below is prompt.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             listener.close()
         with self._conn_lock:
             connections = list(self._connections)

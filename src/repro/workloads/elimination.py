@@ -30,11 +30,14 @@ contain both broad/balanced and deep/thin trees, like the real collection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.task_tree import NO_PARENT, TaskTree
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "elimination_tree",
@@ -50,6 +53,10 @@ __all__ = [
 
 def _lower_structure(matrix: sp.spmatrix) -> sp.csc_matrix:
     """Strictly lower-triangular pattern of ``matrix`` in CSC form."""
+    # scipy is imported where matrices are built, so ``import repro`` stays
+    # free of it: only assembly-tree generation needs sparse matrices.
+    import scipy.sparse as sp
+
     csc = sp.csc_matrix(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError("the matrix must be square")
@@ -69,7 +76,7 @@ def elimination_tree(matrix: sp.spmatrix) -> np.ndarray:
     parent = np.full(n, NO_PARENT, dtype=np.int64)
     ancestor = np.full(n, NO_PARENT, dtype=np.int64)
     # Iterate over rows i of the strict lower triangle: entries (i, j), j < i.
-    csr = sp.csr_matrix(lower)
+    csr = lower.tocsr()
     for i in range(n):
         for j in csr.indices[csr.indptr[i] : csr.indptr[i + 1]]:
             node = int(j)
@@ -99,7 +106,7 @@ def column_counts(matrix: sp.spmatrix, parent: np.ndarray | None = None) -> np.n
         parent = elimination_tree(matrix)
     counts = np.ones(n, dtype=np.int64)  # the diagonal entry of every column
     mark = np.full(n, -1, dtype=np.int64)
-    csr = sp.csr_matrix(lower)
+    csr = lower.tocsr()
     for i in range(n):
         mark[i] = i
         for j in csr.indices[csr.indptr[i] : csr.indptr[i + 1]]:
@@ -301,6 +308,8 @@ def assembly_tree_from_matrix(
         of the last column so the result is a single tree; this only adds
         precedence constraints, never removes any.
     """
+    import scipy.sparse as sp
+
     csc = sp.csc_matrix(matrix)
     if permutation is not None:
         permutation = np.asarray(permutation, dtype=np.int64)

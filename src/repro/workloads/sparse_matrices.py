@@ -27,10 +27,16 @@ usable in numerical examples.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .._utils import as_rng
+
+if TYPE_CHECKING:
+    # Imported at run time only by the builders below, so ``import repro``
+    # stays free of scipy: only assembly-tree generation needs it.
+    import scipy.sparse as sp
 
 __all__ = [
     "grid_laplacian_2d",
@@ -67,6 +73,8 @@ def grid_laplacian_2d(nx: int, ny: int | None = None) -> sp.csc_matrix:
                     cols.extend((j, i))
                     data.extend((-1.0, -1.0))
     n = nx * ny
+    import scipy.sparse as sp
+
     return sp.csc_matrix(sp.coo_matrix((data, (rows, cols)), shape=(n, n)))
 
 
@@ -100,6 +108,8 @@ def grid_laplacian_3d(nx: int, ny: int | None = None, nz: int | None = None) -> 
                         cols.extend((j, i))
                         data.extend((-1.0, -1.0))
     n = nx * ny * nz
+    import scipy.sparse as sp
+
     return sp.csc_matrix(sp.coo_matrix((data, (rows, cols)), shape=(n, n)))
 
 
@@ -131,6 +141,8 @@ def random_symmetric_pattern(
         rows.extend(range(n - 1))
         cols.extend(range(1, n))
     data = np.full(len(rows), -1.0)
+    import scipy.sparse as sp
+
     off = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
     sym = off + off.T
     diag = np.asarray(np.abs(sym).sum(axis=1)).ravel() + 1.0
@@ -151,4 +163,6 @@ def banded_matrix(n: int, bandwidth: int = 2) -> sp.csc_matrix:
             continue
         diagonals.append(np.full(size, 2.0 * bandwidth + 1.0 if offset == 0 else -1.0))
     usable_offsets = [o for o in offsets if n - abs(o) > 0]
+    import scipy.sparse as sp
+
     return sp.csc_matrix(sp.diags(diagonals, usable_offsets, shape=(n, n)))

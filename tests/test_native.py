@@ -16,19 +16,33 @@ Three contracts are pinned here:
   byte-for-byte on the randomized fuzz grid of
   :mod:`tests.test_batch_parity`, closing the four-way chain
   native == python == batched-native == frozen reference.
+- **Schedule-check parity** — the C ``memtree_check_schedule`` behind
+  ``validate_schedule`` and ``resident_peak`` gives the numpy report and
+  the numpy peak bit for bit, on valid, corrupted, partial and failed
+  schedules, and never accepts a schedule numpy rejects.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.native as native_mod
 from repro.batch import BatchedBackend
 from repro.experiments import SweepConfig, run_sweep
 from repro.experiments.backends import SerialBackend
-from repro.native import NativeBuildError, NativeUnavailableError, native_kernels
+from repro.native import (
+    NativeBuildError,
+    NativeUnavailableError,
+    check_schedule,
+    native_kernels,
+)
 from repro.native.abi import load_kernels
 from repro.native.build import (
     ABI_VERSION,
@@ -37,9 +51,14 @@ from repro.native.build import (
     build_library,
     source_digest,
 )
+from repro.core.task_tree import TaskTree
+from repro.orders import make_order, minimum_memory_postorder, sequential_peak_memory
 from repro.schedulers import SCHEDULER_FACTORIES, ActivationScheduler
+from repro.schedulers.base import ScheduleResult
 from repro.schedulers.reference import REFERENCE_FACTORIES
+from repro.schedulers.validation import memory_profile, resident_peak, validate_schedule
 
+from .strategies import task_trees
 from .test_batch_parity import FUZZ_CONFIGS, fuzz_trees, record_bytes
 
 needs_cc = pytest.mark.skipif(
@@ -265,3 +284,209 @@ def test_native_covers_failure_paths(monkeypatch):
     completed = list(python.column("completed"))
     assert not all(completed), "tight-memory grid produced no failures to compare"
     assert list(native.column("failure_reason")) == list(python.column("failure_reason"))
+
+
+# ---------------------------------------------------------------------------
+# Schedule check: native validate_schedule / resident_peak == numpy
+# ---------------------------------------------------------------------------
+
+#: Corruptions applied to real schedules: one per violation kind of
+#: ``validate_schedule`` (duration, precedence, processor count, processor
+#: overlap, memory), plus the inputs the C check must defer on or decide
+#: with care (NaN holes, negative instants, tasks that never ran, tasks
+#: without a processor, equal starts on one processor).
+CORRUPTIONS = (
+    "none",
+    "duration",
+    "precedence",
+    "processors",
+    "overlap",
+    "memory",
+    "nan-hole",
+    "negative",
+    "never-ran",
+    "no-processor",
+    "equal-starts",
+    "within-tolerance",
+)
+
+
+def _corrupt(tree, result, kind: str, pick: int):
+    """A copy of ``result`` with one ``kind`` violation at a ``pick``-chosen task."""
+    start = result.start_times.copy()
+    finish = result.finish_times.copy()
+    proc = result.processor.copy()
+    ran = np.flatnonzero(np.isfinite(start))
+    if kind == "none" or ran.size == 0:
+        return result
+    i = int(ran[pick % ran.size])
+    j = int(ran[(pick // 7 + 1) % ran.size])
+    changes = {}
+    if kind == "duration":
+        finish[i] += 0.5 * tree.ptime[i] + 0.25
+    elif kind == "precedence":
+        q = int(tree.parent[i])
+        if q >= 0 and np.isfinite(start[q]):
+            start[q] = max(0.0, finish[i] - 0.5)
+            finish[q] = start[q] + tree.ptime[q]
+    elif kind == "processors":
+        fewer = max(1, result.num_processors - 1)
+        proc[proc >= 0] %= fewer
+        changes["num_processors"] = fewer
+    elif kind == "overlap":
+        proc[j] = proc[i]
+        start[j] = start[i] + 0.5 * tree.ptime[i]
+        finish[j] = start[j] + tree.ptime[j]
+    elif kind == "memory":
+        changes["memory_limit"] = 0.9 * memory_profile(tree, result).peak
+    elif kind == "nan-hole":
+        finish[i] = np.nan
+    elif kind == "negative":
+        start[i] -= finish[i] + 1.0
+        finish[i] = start[i] + tree.ptime[i]
+    elif kind == "never-ran":
+        start[i] = finish[i] = np.nan
+    elif kind == "no-processor":
+        proc[i] = -1
+    elif kind == "equal-starts":
+        proc[j] = proc[i]
+        start[j] = start[i]
+        finish[j] = start[j] + tree.ptime[j]
+    elif kind == "within-tolerance":
+        # The next task on i's processor starts just before i finishes:
+        # an overlap too small for the overlap check, not for the count.
+        later = np.flatnonzero((proc == proc[i]) & (start >= finish[i]))
+        if later.size:
+            k = int(later[np.argmin(start[later])])
+            start[k] = finish[i] - 1e-9
+            finish[k] = start[k] + tree.ptime[k]
+    return replace(result, start_times=start, finish_times=finish, processor=proc, **changes)
+
+
+def _handmade(tree, start, processor, num_processors, memory_limit=100.0):
+    start = np.asarray(start, dtype=np.float64)
+    return ScheduleResult(
+        scheduler="handmade",
+        tree_size=tree.n,
+        num_processors=num_processors,
+        memory_limit=memory_limit,
+        completed=True,
+        makespan=float((start + tree.ptime).max()),
+        start_times=start,
+        finish_times=start + tree.ptime,
+        processor=np.asarray(processor, dtype=np.int64),
+        peak_memory=math.nan,
+        scheduling_seconds=0.0,
+        num_events=tree.n,
+    )
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _assert_check_parity(tree, result) -> None:
+    """Native and numpy agree on the report and the peak, bit for bit."""
+    with warnings.catch_warnings():
+        # memory_profile's numpy body warns on an all-NaN horizon; the
+        # native path defers such schedules to that same body.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reference = validate_schedule(tree, result, native=False)
+        report = validate_schedule(tree, result, native=True)
+        numpy_peak = memory_profile(tree, result).peak
+        native_peak = resident_peak(tree, result, True)
+    assert (report.valid, report.errors) == (reference.valid, reference.errors)
+    assert _bits(report.peak_memory) == _bits(reference.peak_memory)
+    assert _bits(native_peak) == _bits(numpy_peak)
+    mask, _ = check_schedule(native_kernels(True), tree, result)
+    assert mask != 0 or reference.valid, "C accepted a schedule numpy rejects"
+
+
+HEURISTICS = ("Activation", "MemBooking", "MemBookingRedTree", "ListNoMemory")
+
+
+def _schedules(tree, factors, processors, names=HEURISTICS):
+    """Each named heuristic's schedule of ``tree`` over a (p, factor) grid."""
+    ao = make_order(tree, "memPO")
+    eo = make_order(tree, "CP")
+    minimum = max(sequential_peak_memory(tree, minimum_memory_postorder(tree)), 1.0)
+    for name in names:
+        for p in processors:
+            for factor in factors:
+                scheduler = SCHEDULER_FACTORIES[name]()
+                yield scheduler.schedule(tree, p, factor * minimum, ao=ao, eo=eo)
+
+
+@needs_cc
+@given(
+    tree=task_trees(max_nodes=30),
+    processors=st.integers(1, 6),
+    factor=st.sampled_from([1.0, 1.1, 2.0, 10.0]),
+    kind=st.sampled_from(CORRUPTIONS),
+    pick=st.integers(0, 10_000),
+)
+def test_schedule_check_parity_on_random_trees(tree, processors, factor, kind, pick):
+    """Integer data: simultaneous instants and zero-duration tasks abound."""
+    _require_native()
+    for result in _schedules(tree, (factor,), (processors,)):
+        _assert_check_parity(tree, _corrupt(tree, result, kind, pick))
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [7, 1337])
+def test_schedule_check_parity_on_fuzz_trees(seed):
+    """The batch-parity fuzz trees, including deadlocked and t=0 runs."""
+    _require_native()
+    outcomes = set()
+    for tree in fuzz_trees(seed):
+        for number, result in enumerate(_schedules(tree, (1.0, 1.05, 2.0, 6.0), (1, 3, 8))):
+            outcomes.add(result.completed)
+            for kind in CORRUPTIONS:
+                _assert_check_parity(tree, _corrupt(tree, result, kind, seed + number))
+    assert outcomes == {True, False}, "the grid must cover failed runs too"
+
+
+@needs_cc
+def test_schedule_check_accepts_real_schedules_natively():
+    """The fast path is taken: C decides (mask 0) on the memory-aware
+    heuristics' schedules (ListNoMemory ignores the bound by design)."""
+    _require_native()
+    kernels = native_kernels(True)
+    for tree in fuzz_trees(3):
+        for result in _schedules(tree, (2.0,), (4,), HEURISTICS[:3]):
+            mask, peak = check_schedule(kernels, tree, result)
+            assert mask == 0
+            assert _bits(peak) == _bits(memory_profile(tree, result).peak)
+
+
+@needs_cc
+def test_schedule_check_sums_releases_in_child_order():
+    """Two parents finishing at one instant release interleaved children.
+
+    memory_profile adds an instant's releases by ascending child, not
+    parent by parent; with these sizes the two orders round differently.
+    """
+    _require_native()
+    fout = [0.5, 0.8, 0.7, 0.9]
+    tree = TaskTree([4, 5, 4, 5, 6, 6, -1], fout=fout + [0.2, 0.8, 10.0], nexec=0.0)
+    result = _handmade(tree, [0, 0, 0, 0, 1, 1, 2], [0, 1, 2, 3, 0, 1, 0], 4)
+    before = (0.5 + 0.8 + 0.7 + 0.9) + (0.2 + 0.8)  # instants 0 and 1
+    by_parent = before + (10.0 - fout[0] - fout[2] - fout[1] - fout[3])
+    by_child = before + (10.0 - fout[0] - fout[1] - fout[2] - fout[3])
+    assert by_parent != by_child
+    assert memory_profile(tree, result).peak == by_child
+    _assert_check_parity(tree, result)
+    mask, peak = check_schedule(native_kernels(True), tree, result)
+    assert mask == 0 and _bits(peak) == _bits(by_child)
+
+
+@needs_cc
+def test_schedule_check_counts_overlaps_within_tolerance():
+    """Two tasks on one processor overlapping by less than the tolerance
+    pass the overlap check, but at p=1 the count check must still fail."""
+    _require_native()
+    tree = TaskTree([2, 2, -1], fout=1.0, nexec=0.0, ptime=1.0)
+    result = _handmade(tree, [0.0, 1.0 - 1e-9, 2.0], [0, 0, 0], 1)
+    report = validate_schedule(tree, result, native=False)
+    assert report.errors == ("more than p=1 tasks run simultaneously",)
+    _assert_check_parity(tree, result)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -19,6 +23,19 @@ class TestPublicApi:
     def test_subpackages_exposed(self):
         for module in ("core", "orders", "schedulers", "bounds", "workloads", "experiments"):
             assert hasattr(repro, module)
+
+    def test_import_leaves_scipy_unloaded(self):
+        """scipy is imported only where assembly trees build sparse matrices."""
+        src = Path(repro.__file__).resolve().parents[1]
+        probe = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_docstring_example_runs(self):
         tree = repro.synthetic_tree(num_nodes=200, rng=0)

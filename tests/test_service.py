@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -377,6 +378,16 @@ class TestDaemon:
         server.join(timeout=10)
         assert not server.is_alive()
         assert not path.exists()
+
+    def test_stop_on_idle_daemon_is_prompt(self, service, tmp_path):
+        """stop() wakes the blocked accept() instead of waiting out its join."""
+        daemon = SchedulerDaemon(service, socket_path=tmp_path / "idle.sock")
+        daemon.start()
+        time.sleep(0.2)  # let the accept thread block in accept()
+        tic = time.perf_counter()
+        daemon.stop()
+        assert time.perf_counter() - tic < 1.0
+        assert not (tmp_path / "idle.sock").exists()
 
     def test_two_daemons_cannot_share_a_socket(self, daemon, service):
         other = SchedulerDaemon(service, socket_path=daemon.socket_path)
