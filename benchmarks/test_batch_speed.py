@@ -113,18 +113,23 @@ def _timed_sweep(trees, config, backend):
     return time.perf_counter() - tic, table
 
 
-def _measure(trees, config, repetitions: int = 2):
+def _measure(trees, config, repetitions: int = 5):
     """Time both backends on one grid; returns the payload + parity check.
 
-    Each side is measured ``repetitions`` times and the fastest run kept —
-    the standard guard against one-off scheduler/GC noise deciding a gated
-    comparison.
+    The serial and batched runs alternate, ``repetitions`` of each, and
+    each side keeps its fastest run: a slow spell of a shared host then
+    lands on both sides instead of deciding the gated ratio, and min-of-N
+    drops one-off scheduler/GC noise.
     """
     config = replace(config, native=False)
-    serial_seconds = min(
-        _timed_sweep(trees, config, SerialBackend())[0] for _ in range(repetitions)
-    )
-    serial_table = run_sweep(trees, config, backend=SerialBackend())
+    serial_runs: list[float] = []
+    batched_runs: list[float] = []
+    for _ in range(repetitions):
+        seconds, serial_table = _timed_sweep(trees, config, SerialBackend())
+        serial_runs.append(seconds)
+        batched_runs.append(_timed_sweep(trees, config, BatchedBackend())[0])
+    serial_seconds = min(serial_runs)
+    batched_seconds = min(batched_runs)
 
     simulated = {"lanes": 0}
     original = lanes_mod._run_batch
@@ -133,9 +138,6 @@ def _measure(trees, config, repetitions: int = 2):
         simulated["lanes"] += len(lanes)
         return original(kernel_cls, workspace, lanes, **kwargs)
 
-    batched_seconds = min(
-        _timed_sweep(trees, config, BatchedBackend())[0] for _ in range(repetitions)
-    )
     lanes_mod.collapse_rule_counts.clear()
     lanes_mod._run_batch = counting
     try:

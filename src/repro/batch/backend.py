@@ -93,6 +93,7 @@ class BatchedBackend(ExecutionBackend):
                             context.workspace,
                             lanes,
                             native=config.native,
+                            peak_on_run=False,
                         )
                     except Exception:
                         # Lane engine down for this batch: leave its rows out
@@ -102,9 +103,16 @@ class BatchedBackend(ExecutionBackend):
                         # re-raises from the scalar path instead of looping.
                         current_health().record_degradation("batched->serial")
                         continue
+                    # The representative's record checks its schedule once;
+                    # clones (which share its schedule arrays and follow it
+                    # in lane order) take that record's peak unchecked.
+                    peaks: dict[int, float] = {}
                     for row, (result, is_clone) in zip(chunk, outcomes):
                         _, num_processors, memory_factor = plan.combo(row)
-                        records[row] = complete_record(
+                        schedule = id(result.start_times)
+                        if is_clone:
+                            result.peak_memory = peaks[schedule]
+                        record = records[row] = complete_record(
                             context,
                             scheduler,
                             num_processors,
@@ -113,6 +121,7 @@ class BatchedBackend(ExecutionBackend):
                             result,
                             run_validation=not is_clone,
                         )
+                        peaks[schedule] = record["peak_memory"]
             # Rows are written in ascending plan order whatever order the
             # lane batches produced them in: the dictionary-encoded
             # ``failure_reason`` codes must be assigned canonically.

@@ -123,7 +123,12 @@ from ..core.task_tree import TaskTree
 from ..orders import Ordering
 from ..analysis.registry import hot_kernel, plane_mutator
 from ..schedulers.activation import ActivationScheduler, run_activation_scan
-from ..schedulers.base import UNSCHEDULED, ScheduleResult, SchedulingError
+from ..schedulers.base import (
+    UNSCHEDULED,
+    ScheduleResult,
+    SchedulingError,
+    check_activation_order,
+)
 from ..schedulers.engine import SimWorkspace
 from ..schedulers.membooking import (
     ACT,
@@ -1011,6 +1016,8 @@ def simulate_lanes(
     workspace: SimWorkspace | None,
     lanes: Sequence[tuple[int, float]],
     native: bool | None = None,
+    *,
+    peak_on_run: bool = True,
 ) -> list[tuple[ScheduleResult, bool]]:
     """Simulate every ``(processors, memory limit)`` lane of one tree.
 
@@ -1020,9 +1027,13 @@ def simulate_lanes(
     collapse rules of the module docstring to resolve followers without
     simulating them.  Returns one ``(result, is_clone)`` pair per lane, in
     lane order; clones share their representative's schedule arrays and
-    peak memory.  The results are bit-identical to running
-    ``kernel_cls.scheduler_class`` per instance — wall-clock
-    ``scheduling_seconds`` aside.
+    peak memory, and every representative precedes its clones.  The
+    results are bit-identical to running ``kernel_cls.scheduler_class``
+    per instance — wall-clock ``scheduling_seconds`` aside.
+    ``peak_on_run=False`` leaves every ``peak_memory`` ``nan``, as the
+    schedulers' attribute of that name does: the batched backend takes a
+    representative's peak from its record's schedule check and hands it to
+    the clones.
     """
     if not lanes:
         return []
@@ -1034,8 +1045,7 @@ def simulate_lanes(
             raise SchedulingError("memory_limit must be a positive finite number")
     if ao.n != tree.n or eo.n != tree.n:
         raise SchedulingError("orders must cover exactly the nodes of the tree")
-    if not ao.is_topological(tree):
-        raise SchedulingError("the activation order must be a topological order")
+    check_activation_order(tree, ao, eo, workspace)
     if workspace is None or not workspace.matches(tree, ao, eo):
         workspace = SimWorkspace(tree, ao, eo)
 
@@ -1179,8 +1189,9 @@ def simulate_lanes(
         try_collapse()
 
     outcomes: list[tuple[ScheduleResult, bool]] = []
-    # One memory profile (and one validation, at the caller) per distinct
-    # schedule: every clone of the round loop shares its donor's _LaneSim.
+    # One schedule check per distinct schedule: every clone of the round
+    # loop shares its donor's _LaneSim, and the first lane of each sim in
+    # lane order is its representative.
     peaks: dict[int, float] = {}
     for lane in range(B):
         src = clone_of.get(lane, lane)
@@ -1208,7 +1219,9 @@ def simulate_lanes(
         peak = peaks.get(key)
         is_clone = peak is not None
         if peak is None:
-            peak = peaks[key] = resident_peak(tree, result, native)
+            peak = peaks[key] = (
+                resident_peak(tree, result, native) if peak_on_run else math.nan
+            )
         result.peak_memory = peak
         outcomes.append((result, is_clone))
     return outcomes

@@ -107,41 +107,36 @@ def to_reduction_tree(tree: TaskTree) -> ReductionTreeResult:
     execute (in a multifrontal solver: the contribution blocks allocated when
     the front is assembled), which is how reference [7] of the paper applies
     its strategy to general trees.
+
+    The transform is vectorised and bit-identical to a per-node loop:
+    :func:`numpy.bincount` adds each node's children outputs in ascending
+    child index, the order of the children view, and ``added_output`` is a
+    sequential cumulative sum (``ndarray.sum`` sums pairwise and could
+    round differently).
     """
     n = tree.n
-    parent = list(tree.parent.tolist())
-    fout = list(tree.fout.tolist())
-    nexec = [0.0] * n
-    ptime = list(tree.ptime.tolist())
-
-    fict_parent: list[int] = []
-    added_output = 0.0
-
-    for node in range(n):
-        kids = tree.children(node)
-        child_output = float(sum(tree.fout[c] for c in kids))
-        deficit = max(float(tree.nexec[node]), float(tree.fout[node]) - child_output)
-        if deficit > 0:
-            new_index = len(parent)
-            parent.append(node)
-            fout.append(deficit)
-            nexec.append(0.0)
-            ptime.append(0.0)
-            fict_parent.append(node)
-            added_output += deficit
+    parent = tree.parent
+    fout = tree.fout
+    nonroot = parent != NO_PARENT
+    child_output = np.bincount(parent[nonroot], weights=fout[nonroot], minlength=n)
+    deficit = np.maximum(tree.nexec, fout - child_output)
+    fed = np.flatnonzero(deficit > 0)
+    added = deficit[fed]
+    k = fed.size
 
     reduced = TaskTree(
-        np.asarray(parent, dtype=np.int64),
-        fout=np.asarray(fout),
-        nexec=np.asarray(nexec),
-        ptime=np.asarray(ptime),
+        np.concatenate([parent, fed]),
+        fout=np.concatenate([fout, added]),
+        nexec=np.zeros(n + k),
+        ptime=np.concatenate([tree.ptime, np.zeros(k)]),
         validate=False,
+        copy=False,
     )
     return ReductionTreeResult(
         tree=reduced,
         original_n=n,
-        fictitious_parent=tuple(fict_parent),
-        added_output=added_output,
+        fictitious_parent=tuple(fed.tolist()),
+        added_output=float(np.cumsum(added)[-1]) if k else 0.0,
     )
 
 

@@ -43,6 +43,7 @@ from ..core.task_tree import TaskTree
 from ..core.tree_metrics import critical_path_length, height
 from ..orders import ORDER_FACTORIES, Ordering, minimum_memory_postorder, sequential_peak_memory
 from ..schedulers import SCHEDULER_FACTORIES, SimWorkspace, validate_schedule
+from ..schedulers.validation import resident_peak
 from .config import SweepConfig
 from .metrics import safe_ratio
 from .records import RecordTable
@@ -245,11 +246,25 @@ def complete_record(
     paths cannot diverge on record contents.  ``run_validation=False`` lets
     the batched backend skip re-validating a collapsed lane whose identical
     schedule was already validated through its representative.
+
+    The record's ``peak_memory`` comes from the check that validates the
+    schedule: the resident peak of
+    :class:`~repro.schedulers.validation.ValidationReport`, which is
+    bit-identical to ``resident_peak``.  A schedule that is not validated
+    keeps the peak its producer filled in (a lane clone carries its
+    representative's); only a ``nan`` peak costs a ``resident_peak`` call.
+    So the harness drives its schedulers with ``peak_on_run`` off, and
+    every distinct simulated schedule is checked exactly once.
     """
     tree = context.tree
     memory_limit = memory_factor * context.minimum_memory
+    peak_memory = result.peak_memory
     if run_validation and config.validate and result.completed:
-        validate_schedule(tree, result, native=config.native).raise_if_invalid()
+        report = validate_schedule(tree, result, native=config.native)
+        report.raise_if_invalid()
+        peak_memory = report.peak_memory
+    elif math.isnan(peak_memory):
+        peak_memory = resident_peak(tree, result, config.native)
     # Same values as ``repro.bounds.lower_bounds`` with the tree-pure parts
     # (critical path, memory-time demand) read from the per-tree context.
     bounds = LowerBounds(
@@ -272,8 +287,8 @@ def complete_record(
         "classical_lower_bound": bounds.classical,
         "memory_lower_bound": bounds.memory_bound,
         "normalized_makespan": safe_ratio(result.makespan, bounds.combined),
-        "peak_memory": result.peak_memory,
-        "memory_fraction": safe_ratio(result.peak_memory, memory_limit),
+        "peak_memory": peak_memory,
+        "memory_fraction": safe_ratio(peak_memory, memory_limit),
         "scheduling_seconds": result.scheduling_seconds,
         "scheduling_seconds_per_node": result.scheduling_seconds / max(tree.n, 1),
         "activation_order": config.activation_order,
@@ -296,6 +311,8 @@ def run_single(
     def simulate():
         scheduler = SCHEDULER_FACTORIES[scheduler_name]()
         scheduler.native = config.native
+        # complete_record takes the peak from the schedule check.
+        scheduler.peak_on_run = False
         return scheduler.schedule(
             context.tree,
             num_processors,

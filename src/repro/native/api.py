@@ -15,7 +15,7 @@ violation mask and the resident-memory peak of a finished schedule.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -37,9 +37,18 @@ _T0_FAILURE = (
 )
 
 
+def _ptr(array: np.ndarray) -> int:
+    return array.ctypes.data
+
+
 @dataclass(frozen=True)
 class NativePlanes:
-    """Contiguous int64/float64 views of one SimWorkspace, ABI-ready."""
+    """Contiguous int64/float64 views of one SimWorkspace, ABI-ready.
+
+    ``address`` maps each plane's name to its raw data address, read once
+    here: ``ndarray.ctypes.data`` costs ~2 µs per read, and every
+    :func:`simulate` call of the workspace passes ten or so planes.
+    """
 
     n: int
     parent: np.ndarray
@@ -55,6 +64,15 @@ class NativePlanes:
     eo_rank: np.ndarray
     request_ao: np.ndarray
     release: np.ndarray
+    address: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        address = {
+            plane.name: _ptr(getattr(self, plane.name))
+            for plane in fields(self)
+            if plane.name not in ("n", "address")
+        }
+        object.__setattr__(self, "address", address)
 
 
 @dataclass(frozen=True)
@@ -74,10 +92,6 @@ class NativeOutcome:
     memory_bound: bool
     starve_min: int
     bound_need: float
-
-
-def _ptr(array: np.ndarray) -> int:
-    return array.ctypes.data
 
 
 def simulate(
@@ -102,19 +116,20 @@ def simulate(
     proc = np.empty(n, dtype=np.int64)
     stats = MemtreeStats()
 
+    address = planes.address
     if kernel_name == "activation":
         rc = kernels.activation_run(
             n,
             num_processors,
             threshold,
             tol,
-            _ptr(planes.request_ao),
-            _ptr(planes.ao_sequence),
-            _ptr(planes.eo_rank),
-            _ptr(planes.release),
-            _ptr(planes.parent),
-            _ptr(planes.ptime),
-            _ptr(planes.num_children),
+            address["request_ao"],
+            address["ao_sequence"],
+            address["eo_rank"],
+            address["release"],
+            address["parent"],
+            address["ptime"],
+            address["num_children"],
             starve_init,
             _ptr(start),
             _ptr(finish),
@@ -127,16 +142,16 @@ def simulate(
             num_processors,
             threshold,
             tol,
-            _ptr(planes.parent),
-            _ptr(planes.fout),
-            _ptr(planes.mem_needed),
-            _ptr(planes.ptime),
-            _ptr(planes.child_offsets),
-            _ptr(planes.child_nodes),
-            _ptr(planes.num_children),
-            _ptr(planes.ao_rank),
-            _ptr(planes.eo_rank),
-            _ptr(planes.leaves),
+            address["parent"],
+            address["fout"],
+            address["mem_needed"],
+            address["ptime"],
+            address["child_offsets"],
+            address["child_nodes"],
+            address["num_children"],
+            address["ao_rank"],
+            address["eo_rank"],
+            address["leaves"],
             len(planes.leaves),
             1 if dispatch_to_candidates else 0,
             starve_init,

@@ -28,7 +28,14 @@ import numpy as np
 from ..core.task_tree import TaskTree
 from ..orders import Ordering, minimum_memory_postorder
 
-__all__ = ["ReadyQueue", "ScheduleResult", "Scheduler", "SchedulingError", "UNSCHEDULED"]
+__all__ = [
+    "ReadyQueue",
+    "ScheduleResult",
+    "Scheduler",
+    "SchedulingError",
+    "UNSCHEDULED",
+    "check_activation_order",
+]
 
 #: Sentinel processor id for tasks that never ran (failed schedules).
 UNSCHEDULED: int = -1
@@ -215,6 +222,24 @@ class ScheduleResult:
         }
 
 
+def check_activation_order(
+    tree: TaskTree, ao: Ordering, eo: Ordering, workspace: Any = None
+) -> None:
+    """Raise :class:`SchedulingError` unless ``ao`` is a topological order.
+
+    The check is skipped only for a workspace that ``matches(tree, ao, eo)``
+    and recorded an earlier successful check of that very ``ao``; the
+    record is set only after the check passes.
+    """
+    matching = workspace is not None and workspace.matches(tree, ao, eo)
+    if matching and workspace.ao_topological:
+        return
+    if not ao.is_topological(tree):
+        raise SchedulingError("the activation order must be a topological order")
+    if matching:
+        workspace.ao_topological = True
+
+
 class Scheduler(ABC):
     """Base class of all scheduling heuristics.
 
@@ -269,7 +294,9 @@ class Scheduler(ABC):
             static planes of (tree, ao, eo), reused across repeated runs on
             one tree (the sweep harness passes its per-instance workspace).
             A workspace built for different inputs is ignored and replaced,
-            so a stale one can cost time but never correctness.
+            so a stale one can cost time but never correctness.  A matching
+            workspace also remembers that ``ao`` passed the topological
+            check, so repeated runs on one instance check it once.
         """
         if num_processors < 1:
             raise SchedulingError("num_processors must be at least 1")
@@ -281,8 +308,7 @@ class Scheduler(ABC):
             eo = eo if eo is not None else default_eo
         if ao.n != tree.n or eo.n != tree.n:
             raise SchedulingError("orders must cover exactly the nodes of the tree")
-        if not ao.is_topological(tree):
-            raise SchedulingError("the activation order must be a topological order")
+        check_activation_order(tree, ao, eo, workspace)
         return self._run(
             tree,
             int(num_processors),

@@ -137,6 +137,7 @@ class SimWorkspace:
         "request_ao_list",
         "release_list",
         "_native_planes",
+        "ao_topological",
     )
 
     def __init__(self, tree: TaskTree, ao: Ordering, eo: Ordering) -> None:
@@ -181,13 +182,18 @@ class SimWorkspace:
         self.request_ao_list: list[float] = request_ao.tolist()
         self.release_list: list[float] = release.tolist()
         self._native_planes = None
+        #: Set by ``check_activation_order`` once ``ao`` passed the
+        #: topological check, so later runs on this workspace skip it.
+        self.ao_topological = False
 
     def native_planes(self):
         """Contiguous int64/float64 views for the compiled kernels (cached).
 
         Built lazily from the workspace lists on the first native run of
         this (tree, AO, EO) and reused by every subsequent run — the same
-        share-per-workspace discipline as the Python planes.
+        share-per-workspace discipline as the Python planes.  The planes'
+        raw addresses are read once, at construction (see
+        :class:`~repro.native.api.NativePlanes`).
         """
         planes = self._native_planes
         if planes is None:
@@ -275,6 +281,7 @@ class SimWorkspace:
         ws.request_ao_list = request.tolist()
         ws.release_list = np.asarray(release, dtype=np.float64).tolist()
         ws._native_planes = None
+        ws.ao_topological = False
         return ws
 
 
@@ -326,10 +333,12 @@ class EventDrivenScheduler(Scheduler):
     #: :attr:`ready_queue` and the ``_pop_ready_task`` hook.
     ready_heap: list[tuple[int, int]] | None = None
 
-    #: Whether :meth:`_run` fills ``peak_memory`` (the resident peak of the
-    #: tree it simulated).  A subclass that simulates a transformed tree and
-    #: reports the peak of the original one turns it off, so the inner peak
-    #: is never computed only to be thrown away.
+    #: Whether a run fills ``peak_memory`` with the resident peak of its
+    #: schedule (left ``nan`` otherwise).  The sweep runner's ``run_single``
+    #: turns it off per instance, the way it sets :attr:`native`, because
+    #: the record's peak comes from the check that validates the schedule
+    #: (see ``complete_record``); a direct ``schedule()`` call keeps the
+    #: default and gets a filled peak.
     peak_on_run: bool = True
 
     # ------------------------------------------------------------------ #
@@ -421,6 +430,31 @@ class EventDrivenScheduler(Scheduler):
         invariant_hook: Callable[[Mapping[str, Any]], None] | None = None,
         workspace: SimWorkspace | None = None,
     ) -> ScheduleResult:
+        result = self._simulate(
+            tree,
+            num_processors,
+            memory_limit,
+            ao,
+            eo,
+            invariant_hook=invariant_hook,
+            workspace=workspace,
+        )
+        if self.peak_on_run:
+            result.peak_memory = resident_peak(tree, result, self.native)
+        return result
+
+    def _simulate(
+        self,
+        tree: TaskTree,
+        num_processors: int,
+        memory_limit: float,
+        ao: Ordering,
+        eo: Ordering,
+        *,
+        invariant_hook: Callable[[Mapping[str, Any]], None] | None = None,
+        workspace: SimWorkspace | None = None,
+    ) -> ScheduleResult:
+        """One simulation, native or Python, with ``peak_memory`` left ``nan``."""
         try:
             # Native fast path: the compiled stepper cannot call back into
             # Python per event, so it only replaces runs that need no
@@ -442,8 +476,6 @@ class EventDrivenScheduler(Scheduler):
                     invariant_hook=invariant_hook,
                     workspace=workspace,
                 )
-            if self.peak_on_run:
-                result.peak_memory = resident_peak(tree, result, self.native)
             return result
         finally:
             # Clear the per-run references even when a hook raises, so a

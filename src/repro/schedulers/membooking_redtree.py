@@ -46,7 +46,7 @@ from ..core.tree_transform import ReductionTreeResult, to_reduction_tree
 from ..orders import Ordering
 from .activation import ActivationScheduler
 from .base import ScheduleResult
-from .engine import EventDrivenScheduler, SimWorkspace
+from .engine import SimWorkspace
 from .validation import memory_profile  # noqa: F401  (tracers patch it by module)
 from .validation import resident_peak
 
@@ -63,15 +63,22 @@ def extend_order_to_reduction(
     the input is a topological order of the original tree, and real tasks
     keep their relative priorities.
     """
-    fictitious_of: dict[int, list[int]] = {}
-    for offset, parent in enumerate(reduction.fictitious_parent):
-        fictitious_of.setdefault(parent, []).append(reduction.original_n + offset)
-    sequence: list[int] = []
-    for node in order.sequence:
-        node = int(node)
-        sequence.extend(fictitious_of.get(node, ()))
-        sequence.append(node)
-    return Ordering(np.asarray(sequence, dtype=np.int64), name=order.name + "+red")
+    n = reduction.original_n
+    fictitious = np.asarray(reduction.fictitious_parent, dtype=np.int64)
+    # An index scatter: every node is fed by at most one fictitious leaf
+    # (``to_reduction_tree`` adds one per node with a deficit).
+    leaf_of = np.full(n, -1, dtype=np.int64)
+    leaf_of[fictitious] = np.arange(n, n + fictitious.size, dtype=np.int64)
+    if np.count_nonzero(leaf_of >= 0) != fictitious.size:
+        raise ValueError("a node is fed by more than one fictitious leaf")
+    real = order.sequence
+    leaf = leaf_of[real]
+    fed = leaf >= 0
+    position = np.arange(n, dtype=np.int64) + np.cumsum(fed)
+    sequence = np.empty(n + fictitious.size, dtype=np.int64)
+    sequence[position] = real
+    sequence[position[fed] - 1] = leaf[fed]
+    return Ordering(sequence, name=order.name + "+red")
 
 
 #: Per-tree memo of reduction contexts, keyed by tree identity (evicted by a
@@ -112,9 +119,6 @@ class MemBookingRedTreeScheduler(ActivationScheduler):
     """Reduction-tree booking baseline (``MemBookingRedTree`` in the figures)."""
 
     name = "MemBookingRedTree"
-    #: The inner run simulates the reduction tree; only the peak of the
-    #: original tree, computed below, is reported.
-    peak_on_run = False
 
     def _run(
         self,
@@ -132,8 +136,8 @@ class MemBookingRedTreeScheduler(ActivationScheduler):
             tree, ao, eo
         )
 
-        inner = EventDrivenScheduler._run(
-            self,
+        # The reduction tree's own peak is never reported: simulate only.
+        inner = self._simulate(
             reduction.tree,
             num_processors,
             memory_limit,
@@ -172,5 +176,6 @@ class MemBookingRedTreeScheduler(ActivationScheduler):
         # Peak memory is reported for the *real* data only, which is what a
         # runtime would observe; the booked overhead of the fictitious inputs
         # shows up as a lower fraction of memory actually used (Figure 4).
-        result.peak_memory = resident_peak(tree, result, self.native)
+        if self.peak_on_run:
+            result.peak_memory = resident_peak(tree, result, self.native)
         return result

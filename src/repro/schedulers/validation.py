@@ -30,7 +30,17 @@ violation, or on inputs it does not decide (a started task without a
 finite finish, a negative instant, a processor id out of range), the numpy
 checks below run unchanged and word the report.  So C can only accept a
 schedule that numpy accepts, and every report is the same either way.
-:func:`resident_peak` is the peak-only twin the schedulers call.
+:func:`resident_peak` is the peak-only twin.
+
+Both entry points sort the schedule's instants, so each schedule should
+pay for one of them, not two.  The rule: **a peak comes from the check
+that validates it.**  ``ValidationReport.peak_memory`` is bit-identical
+to ``resident_peak`` (either way through C or numpy), so a sweep record
+takes its peak from the report of the validation it runs anyway
+(:func:`repro.experiments.runner.complete_record`), and its schedulers run
+with ``peak_on_run`` off.  ``resident_peak`` serves the schedules that are
+not validated: a direct ``Scheduler.schedule`` call, a failed run, or a
+sweep with ``SweepConfig.validate`` off.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.orders import minimum_memory_postorder, sequential_peak_memory
-from repro.schedulers import SCHEDULER_FACTORIES
+from repro.orders import Ordering, minimum_memory_postorder, sequential_peak_memory
+from repro.schedulers import SCHEDULER_FACTORIES, SimWorkspace
+from repro.schedulers.base import SchedulingError
 
 from .helpers import random_tree
 
@@ -96,3 +97,72 @@ class TestSchedulerReuse:
         del tree
         gc.collect()
         assert ref() is None, "a finished scheduler must not pin the tree"
+
+
+class TestActivationOrderCheckOnce:
+    """A workspace remembers that its AO passed the topological check, so
+    repeated runs on one instance check it once — and never skip it for a
+    workspace that did not see it pass."""
+
+    @staticmethod
+    def _bad_order(tree):
+        # The reverse of a postorder puts every parent before its children.
+        order = minimum_memory_postorder(tree)
+        return Ordering(order.sequence[::-1], name="reversed")
+
+    @pytest.mark.parametrize("name", ENGINE_SCHEDULERS)
+    def test_non_topological_ao_raises_without_workspace(self, name, rng):
+        tree = random_tree(rng, 20)
+        bad = self._bad_order(tree)
+        with pytest.raises(SchedulingError, match="topological"):
+            SCHEDULER_FACTORIES[name]().schedule(tree, 2, 1e9, ao=bad, eo=bad)
+
+    @pytest.mark.parametrize("name", ENGINE_SCHEDULERS)
+    def test_non_topological_ao_raises_with_another_orders_workspace(self, name, rng):
+        tree = random_tree(rng, 20)
+        good = minimum_memory_postorder(tree)
+        workspace = SimWorkspace(tree, good, good)
+        SCHEDULER_FACTORIES[name]().schedule(
+            tree, 2, 1e9, ao=good, eo=good, workspace=workspace
+        )
+        assert workspace.ao_topological
+        bad = self._bad_order(tree)
+        with pytest.raises(SchedulingError, match="topological"):
+            SCHEDULER_FACTORIES[name]().schedule(
+                tree, 2, 1e9, ao=bad, eo=bad, workspace=workspace
+            )
+
+    @pytest.mark.parametrize("name", ENGINE_SCHEDULERS)
+    def test_non_topological_ao_raises_with_its_own_workspace(self, name, rng):
+        """A workspace built from the bad AO itself: every call checks,
+        because no check ever passed."""
+        tree = random_tree(rng, 20)
+        bad = self._bad_order(tree)
+        workspace = SimWorkspace(tree, bad, bad)
+        for _ in range(2):
+            with pytest.raises(SchedulingError, match="topological"):
+                SCHEDULER_FACTORIES[name]().schedule(
+                    tree, 2, 1e9, ao=bad, eo=bad, workspace=workspace
+                )
+            assert not workspace.ao_topological
+
+    def test_matching_workspace_checks_once(self, monkeypatch, rng):
+        tree = random_tree(rng, 30)
+        order = minimum_memory_postorder(tree)
+        workspace = SimWorkspace(tree, order, order)
+        calls = []
+        is_topological = Ordering.is_topological
+
+        def counting(self, tree):
+            calls.append(self)
+            return is_topological(self, tree)
+
+        monkeypatch.setattr(Ordering, "is_topological", counting)
+        for p in (2, 4, 8):
+            SCHEDULER_FACTORIES["Activation"]().schedule(
+                tree, p, 1e9, ao=order, eo=order, workspace=workspace
+            )
+        assert calls == [order]
+        # Without the workspace every call checks.
+        SCHEDULER_FACTORIES["Activation"]().schedule(tree, 2, 1e9, ao=order, eo=order)
+        assert calls == [order, order]
