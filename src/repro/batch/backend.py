@@ -93,7 +93,6 @@ class BatchedBackend(ExecutionBackend):
                             context.workspace,
                             lanes,
                             native=config.native,
-                            peak_on_run=False,
                         )
                     except Exception:
                         # Lane engine down for this batch: leave its rows out
@@ -103,25 +102,22 @@ class BatchedBackend(ExecutionBackend):
                         # re-raises from the scalar path instead of looping.
                         current_health().record_degradation("batched->serial")
                         continue
-                    # The representative's record checks its schedule once;
-                    # clones (which share its schedule arrays and follow it
-                    # in lane order) take that record's peak unchecked.
-                    peaks: dict[int, float] = {}
-                    for row, (result, is_clone) in zip(chunk, outcomes):
+                    # A representative's record checks its schedule once and
+                    # fills its peak; a clone copies that peak unchecked.
+                    for lane, (row, (result, back)) in enumerate(zip(chunk, outcomes)):
                         _, num_processors, memory_factor = plan.combo(row)
-                        schedule = id(result.start_times)
-                        if is_clone:
-                            result.peak_memory = peaks[schedule]
-                        record = records[row] = complete_record(
+                        if back:
+                            result.peak_memory = records[chunk[lane - back]]["peak_memory"]
+                        records[row] = complete_record(
                             context,
                             scheduler,
                             num_processors,
                             memory_factor,
                             config,
                             result,
-                            run_validation=not is_clone,
+                            run_validation=not back,
+                            peak_deferred=not back,
                         )
-                        peaks[schedule] = record["peak_memory"]
             # Rows are written in ascending plan order whatever order the
             # lane batches produced them in: the dictionary-encoded
             # ``failure_reason`` codes must be assigned canonically.

@@ -99,8 +99,8 @@ then applies the collapse rules — plus the degenerate exact-duplicate
 ``(p, limit)`` case; a lane whose activation completes entirely at
 ``t = 0`` is simply a never-memory-bound lane, so the slack rule covers it
 — to a fixed point, with resolved clones acting as donors at their own
-``(p, limit)``.  Clones inherit the representative's schedule arrays and
-peak memory; only their record-level fields (memory limit and ratios
+``(p, limit)``.  Clones inherit the representative's schedule arrays (so
+its peak memory); only their record-level fields (memory limit and ratios
 derived from it) differ, which the caller derives per lane.
 
 Timing: decision time is measured per step (one ``perf_counter`` pair
@@ -141,7 +141,6 @@ from ..schedulers.membooking import (
     run_membooking_activation,
 )
 from ..schedulers.validation import memory_profile  # noqa: F401  (tracers patch it by module)
-from ..schedulers.validation import resident_peak
 
 __all__ = [
     "ActivationLaneKernel",
@@ -1016,24 +1015,22 @@ def simulate_lanes(
     workspace: SimWorkspace | None,
     lanes: Sequence[tuple[int, float]],
     native: bool | None = None,
-    *,
-    peak_on_run: bool = True,
-) -> list[tuple[ScheduleResult, bool]]:
+) -> list[tuple[ScheduleResult, int]]:
     """Simulate every ``(processors, memory limit)`` lane of one tree.
 
     Lanes are resolved in rounds: each round simulates, per distinct memory
     limit, the largest-``p`` unresolved lane as one lock-step batch
     (:func:`_run_batch`), then applies the saturation and memory-slack
     collapse rules of the module docstring to resolve followers without
-    simulating them.  Returns one ``(result, is_clone)`` pair per lane, in
-    lane order; clones share their representative's schedule arrays and
-    peak memory, and every representative precedes its clones.  The
-    results are bit-identical to running ``kernel_cls.scheduler_class``
-    per instance — wall-clock ``scheduling_seconds`` aside.
-    ``peak_on_run=False`` leaves every ``peak_memory`` ``nan``, as the
-    schedulers' attribute of that name does: the batched backend takes a
-    representative's peak from its record's schedule check and hands it to
-    the clones.
+    simulating them.  Returns one ``(result, back)`` pair per lane, in
+    lane order: a clone shares the schedule arrays of the representative
+    ``back`` lanes before it, and a representative has ``back == 0`` (so
+    ``bool(back)`` says whether a lane is a clone).  The results are
+    bit-identical to running ``kernel_cls.scheduler_class`` per instance —
+    wall-clock ``scheduling_seconds`` aside — except that ``peak_memory``
+    is left ``nan``, as the schedulers leave it with ``peak_on_run`` off:
+    the batched backend takes a representative's peak from its record's
+    schedule check and copies it to the clones.
     """
     if not lanes:
         return []
@@ -1188,11 +1185,10 @@ def simulate_lanes(
             pending.discard(index)
         try_collapse()
 
-    outcomes: list[tuple[ScheduleResult, bool]] = []
-    # One schedule check per distinct schedule: every clone of the round
-    # loop shares its donor's _LaneSim, and the first lane of each sim in
-    # lane order is its representative.
-    peaks: dict[int, float] = {}
+    outcomes: list[tuple[ScheduleResult, int]] = []
+    # Every clone of the round loop shares its donor's _LaneSim; the first
+    # lane of each sim in lane order is its representative.
+    representative: dict[int, int] = {}
     for lane in range(B):
         src = clone_of.get(lane, lane)
         sim = sims[src]
@@ -1215,13 +1211,6 @@ def simulate_lanes(
             failure_reason=sim.failure,
             extras=dict(sim.extras),
         )
-        key = id(sim)
-        peak = peaks.get(key)
-        is_clone = peak is not None
-        if peak is None:
-            peak = peaks[key] = (
-                resident_peak(tree, result, native) if peak_on_run else math.nan
-            )
-        result.peak_memory = peak
-        outcomes.append((result, is_clone))
+        back = lane - representative.setdefault(id(sim), lane)
+        outcomes.append((result, back))
     return outcomes

@@ -42,7 +42,12 @@ from ..bounds.makespan import LowerBounds
 from ..core.task_tree import TaskTree
 from ..core.tree_metrics import critical_path_length, height
 from ..orders import ORDER_FACTORIES, Ordering, minimum_memory_postorder, sequential_peak_memory
-from ..schedulers import SCHEDULER_FACTORIES, SimWorkspace, validate_schedule
+from ..schedulers import (
+    SCHEDULER_FACTORIES,
+    EventDrivenScheduler,
+    SimWorkspace,
+    validate_schedule,
+)
 from ..schedulers.validation import resident_peak
 from .config import SweepConfig
 from .metrics import safe_ratio
@@ -237,6 +242,7 @@ def complete_record(
     result,
     *,
     run_validation: bool = True,
+    peak_deferred: bool = False,
 ) -> dict[str, Any]:
     """Validate a :class:`~repro.schedulers.base.ScheduleResult` and build its record.
 
@@ -247,14 +253,16 @@ def complete_record(
     the batched backend skip re-validating a collapsed lane whose identical
     schedule was already validated through its representative.
 
-    The record's ``peak_memory`` comes from the check that validates the
-    schedule: the resident peak of
+    ``peak_deferred=True`` says the producer left ``peak_memory`` for this
+    function to fill (an event-driven scheduler run with ``peak_on_run``
+    off, a lane representative): the peak then comes from the check that
+    validates the schedule, the resident peak of
     :class:`~repro.schedulers.validation.ValidationReport`, which is
-    bit-identical to ``resident_peak``.  A schedule that is not validated
-    keeps the peak its producer filled in (a lane clone carries its
-    representative's); only a ``nan`` peak costs a ``resident_peak`` call.
-    So the harness drives its schedulers with ``peak_on_run`` off, and
-    every distinct simulated schedule is checked exactly once.
+    bit-identical to ``resident_peak``; a schedule that is not validated
+    costs one ``resident_peak`` call.  So every distinct simulated schedule
+    is checked exactly once.  Otherwise the producer's peak is kept as it
+    is: Sequential's closed-form peak (``nan`` when it fails), a lane
+    clone's copy of its representative's, a quarantined row's ``0.0``.
     """
     tree = context.tree
     memory_limit = memory_factor * context.minimum_memory
@@ -262,8 +270,9 @@ def complete_record(
     if run_validation and config.validate and result.completed:
         report = validate_schedule(tree, result, native=config.native)
         report.raise_if_invalid()
-        peak_memory = report.peak_memory
-    elif math.isnan(peak_memory):
+        if peak_deferred:
+            peak_memory = report.peak_memory
+    elif peak_deferred:
         peak_memory = resident_peak(tree, result, config.native)
     # Same values as ``repro.bounds.lower_bounds`` with the tree-pure parts
     # (critical path, memory-time demand) read from the per-tree context.
@@ -307,12 +316,16 @@ def run_single(
 ) -> dict[str, Any]:
     """Run one heuristic on one instance and return its flat record."""
     memory_limit = memory_factor * context.minimum_memory
+    factory = SCHEDULER_FACTORIES[scheduler_name]
+    # Event-driven schedulers leave the peak to complete_record's schedule
+    # check; Sequential's closed-form peak is part of its result.
+    peak_deferred = issubclass(factory, EventDrivenScheduler)
 
     def simulate():
-        scheduler = SCHEDULER_FACTORIES[scheduler_name]()
+        scheduler = factory()
         scheduler.native = config.native
-        # complete_record takes the peak from the schedule check.
-        scheduler.peak_on_run = False
+        if peak_deferred:
+            scheduler.peak_on_run = False
         return scheduler.schedule(
             context.tree,
             num_processors,
@@ -331,7 +344,13 @@ def run_single(
             result.scheduling_seconds, simulate().scheduling_seconds
         )
     return complete_record(
-        context, scheduler_name, num_processors, memory_factor, config, result
+        context,
+        scheduler_name,
+        num_processors,
+        memory_factor,
+        config,
+        result,
+        peak_deferred=peak_deferred,
     )
 
 

@@ -69,8 +69,6 @@ def extend_order_to_reduction(
     # (``to_reduction_tree`` adds one per node with a deficit).
     leaf_of = np.full(n, -1, dtype=np.int64)
     leaf_of[fictitious] = np.arange(n, n + fictitious.size, dtype=np.int64)
-    if np.count_nonzero(leaf_of >= 0) != fictitious.size:
-        raise ValueError("a node is fed by more than one fictitious leaf")
     real = order.sequence
     leaf = leaf_of[real]
     fed = leaf >= 0

@@ -37,10 +37,11 @@ pay for one of them, not two.  The rule: **a peak comes from the check
 that validates it.**  ``ValidationReport.peak_memory`` is bit-identical
 to ``resident_peak`` (either way through C or numpy), so a sweep record
 takes its peak from the report of the validation it runs anyway
-(:func:`repro.experiments.runner.complete_record`), and its schedulers run
-with ``peak_on_run`` off.  ``resident_peak`` serves the schedules that are
-not validated: a direct ``Scheduler.schedule`` call, a failed run, or a
-sweep with ``SweepConfig.validate`` off.
+(:func:`repro.experiments.runner.complete_record`), and its event-driven
+schedulers run with ``peak_on_run`` off.  ``resident_peak`` serves the
+schedules that are not validated: a direct ``Scheduler.schedule`` call, a
+failed run, or a sweep with ``SweepConfig.validate`` off.  (Sequential's
+peak is its closed form, not a check, and is kept as it reports it.)
 """
 
 from __future__ import annotations

@@ -4,10 +4,13 @@ A sweep record's ``peak_memory`` comes from the check that validates its
 schedule (``complete_record``), so the harness drives its schedulers with
 ``peak_on_run`` off and every distinct schedule is sorted and checked
 exactly once: through the C ``memtree_check_schedule`` with the native
-plane on, through ``memory_profile`` with it off.  The counts are pinned
-on a small fig15-style sweep through the serial and batched backends and
-on a daemon ``schedule`` request, and the records must stay byte-identical
-to ``run_sweep`` whichever path and kernel plane produced them.
+plane on, through ``memory_profile`` with it off.  Sequential keeps its
+closed-form peak, so only its completed runs are checked (validated).
+The counts are pinned on a small fig15-style sweep through the serial and
+batched backends and on a daemon ``schedule`` request, and the records
+must stay byte-identical to ``run_sweep`` whichever path and kernel plane
+produced them; ``run_sweep``'s peaks in turn are those a direct
+``schedule()`` call reports.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from repro.batch import BatchedBackend
 from repro.core.tree_io import to_dict
 from repro.experiments import SweepConfig, run_sweep
 from repro.experiments.backends import SerialBackend
+from repro.experiments.metrics import safe_ratio
+from repro.experiments.runner import prepare_instance
 from repro.native.build import _find_compiler
+from repro.schedulers import make_scheduler
 from repro.service.protocol import decode_payload
 from repro.service.server import SchedulerService
 from repro.workloads.synthetic import SyntheticTreeConfig, synthetic_tree
@@ -39,11 +45,13 @@ NATIVE = [
     ),
 ]
 
-#: A fig15-style grid: the three heuristics, a processor sweep and tight
-#: to generous memory factors (1.0 makes some runs fail or deadlock).
-SCHEDULERS = ("Activation", "MemBooking", "MemBookingRedTree")
+#: A fig15-style grid: the three heuristics plus Sequential, a processor
+#: sweep and tight to generous memory factors (1.0 makes some runs fail or
+#: deadlock; under perfPO it also fails Sequential).
+SCHEDULERS = ("Activation", "MemBooking", "MemBookingRedTree", "Sequential")
 PROCESSORS = (2, 4, 8, 16, 32)
 FACTORS = (1.0, 1.5, 2.0, 10.0)
+ORDERS = ("memPO", "perfPO")
 
 
 def _trees():
@@ -54,13 +62,15 @@ def _trees():
     ]
 
 
-def _config(native: bool, **overrides) -> SweepConfig:
+def _config(native: bool, order: str, **overrides) -> SweepConfig:
     return SweepConfig(
         schedulers=SCHEDULERS,
         processors=PROCESSORS,
         memory_factors=FACTORS,
         min_completion_fraction=0.0,
         native=native,
+        activation_order=order,
+        execution_order=order,
         **overrides,
     )
 
@@ -108,26 +118,70 @@ def _expect(counts, native: bool, schedules: int) -> None:
         assert counts == {"native": 0, "numpy": schedules}
 
 
+def _sequential_unchecked(table, validate: bool = True) -> int:
+    """Sequential rows that cost no check: its peak is a closed form, so
+    only a validated (completed) run touches the checker."""
+    return sum(
+        1
+        for row in table
+        if row["scheduler"] == "Sequential" and not (validate and row["completed"])
+    )
+
+
+@pytest.fixture(scope="module", params=ORDERS)
+def order(request):
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def reference():
+def reference(order):
     """``run_sweep`` records (serial, Python kernels): the byte contract."""
-    return record_bytes(run_sweep(_trees(), _config(False), backend=SerialBackend()))
+    table = run_sweep(_trees(), _config(False, order), backend=SerialBackend())
+    sequential = [row for row in table if row["scheduler"] == "Sequential"]
+    if order == "perfPO":
+        assert any(not row["completed"] for row in sequential)
+    assert any(row["completed"] for row in sequential)
+    return table
+
+
+def test_reference_peaks_are_those_of_direct_schedule_calls(reference, order):
+    """A record's peak and memory fraction are the ``peak_memory`` that a
+    direct ``schedule()`` call (``peak_on_run`` on) reports, bit for bit:
+    Sequential's closed form (``nan`` on failure) included."""
+    trees = _trees()
+    config = _config(False, order)
+    contexts = [prepare_instance(tree, i, config) for i, tree in enumerate(trees)]
+    for row in reference:
+        context = contexts[row["tree_index"]]
+        direct = make_scheduler(row["scheduler"]).schedule(
+            context.tree,
+            row["num_processors"],
+            row["memory_limit"],
+            ao=context.ao,
+            eo=context.eo,
+        )
+        assert repr(row["peak_memory"]) == repr(direct.peak_memory)
+        assert repr(row["memory_fraction"]) == repr(
+            safe_ratio(direct.peak_memory, row["memory_limit"])
+        )
 
 
 @pytest.mark.parametrize("native", NATIVE)
 @pytest.mark.parametrize("repetitions", [1, 3])
-def test_serial_sweep_checks_each_schedule_once(checks, reference, native, repetitions):
+def test_serial_sweep_checks_each_schedule_once(
+    checks, reference, order, native, repetitions
+):
     """One check per record, however often the timing figures re-run it."""
-    config = _config(native, timing_repetitions=repetitions)
+    config = _config(native, order, timing_repetitions=repetitions)
     table = run_sweep(_trees(), config, backend=SerialBackend())
-    _expect(checks, native, len(table))
-    assert record_bytes(table) == reference
+    _expect(checks, native, len(table) - _sequential_unchecked(table))
+    assert record_bytes(table) == record_bytes(reference)
 
 
 @pytest.mark.parametrize("native", NATIVE)
 @pytest.mark.parametrize("validate", [True, False])
 def test_batched_sweep_checks_each_distinct_schedule_once(
-    checks, monkeypatch, reference, native, validate
+    checks, monkeypatch, reference, order, native, validate
 ):
     """Lane representatives are checked once; their clones not at all."""
     lanes = {"representatives": 0, "clones": 0}
@@ -135,18 +189,23 @@ def test_batched_sweep_checks_each_distinct_schedule_once(
 
     def counting(*args, **kwargs):
         outcomes = simulate_lanes(*args, **kwargs)
-        clones = sum(1 for _, is_clone in outcomes if is_clone)
+        clones = sum(1 for _, back in outcomes if back)
         lanes["clones"] += clones
         lanes["representatives"] += len(outcomes) - clones
         return outcomes
 
     monkeypatch.setattr(batch_backend, "simulate_lanes", counting)
-    table = run_sweep(_trees(), _config(native, validate=validate), backend=BatchedBackend())
+    config = _config(native, order, validate=validate)
+    table = run_sweep(_trees(), config, backend=BatchedBackend())
     assert lanes["clones"] > 0, "the grid should collapse some lanes"
-    # MemBookingRedTree has no lane kernel: its rows run one by one.
-    scalar_rows = sum(1 for row in table if row["scheduler"] == "MemBookingRedTree")
-    _expect(checks, native, lanes["representatives"] + scalar_rows)
-    assert record_bytes(table) == reference
+    # MemBookingRedTree and Sequential have no lane kernel: their rows run
+    # one by one.
+    scalar_rows = sum(
+        1 for row in table if row["scheduler"] in ("MemBookingRedTree", "Sequential")
+    )
+    unchecked = _sequential_unchecked(table, validate)
+    _expect(checks, native, lanes["representatives"] + scalar_rows - unchecked)
+    assert record_bytes(table) == record_bytes(reference)
 
 
 @pytest.mark.parametrize("native", NATIVE)

@@ -137,17 +137,3 @@ def test_parity_on_float_fuzz_trees(seed):
     for tree in trees:
         assert_parity(tree, [minimum_memory_postorder(tree)])
 
-
-def test_two_leaves_for_one_node_are_refused(small_tree):
-    """The index scatter assumes one fictitious leaf per node, as
-    ``to_reduction_tree`` builds; a hand-made result with two is refused."""
-    reduction = to_reduction_tree(small_tree)
-    node = reduction.fictitious_parent[0]
-    doubled = ReductionTreeResult(
-        tree=reduction.tree,
-        original_n=reduction.original_n,
-        fictitious_parent=reduction.fictitious_parent[:-1] + (node,),
-        added_output=reduction.added_output,
-    )
-    with pytest.raises(ValueError, match="more than one fictitious leaf"):
-        extend_order_to_reduction(small_tree, doubled, minimum_memory_postorder(small_tree))
