@@ -107,8 +107,7 @@ def main() -> None:
     print("                   and simulates each distinct schedule once")
     print("  records = run_sweep(trees, jobs=4, backend='shared-memory')")
     print("  records = run_sweep(trees, backend='batched')")
-    print("(or `memtree figure fig2 --backend batched`; `--batch-size` caps the")
-    print("lanes per batch, 0 = every instance of a tree in one batch).")
+    print("(or `memtree figure fig2 --backend batched`).")
     print()
     print("run_sweep returns a columnar RecordTable (one typed NumPy column per")
     print("record field; iterate it for plain dicts, `table.column(name)` for")

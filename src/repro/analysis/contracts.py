@@ -157,14 +157,6 @@ NAMED_ARRAY_DTYPES: dict[str, dict[str, str]] = {
         "offsets": "int64",  # children CSR offsets adopted in from_planes
         "request": "float64",
     },
-    "batch/lanes.py": {
-        "slot_time": "float64",  # the [B, p_max] event wavefront plane
-        "slot_node": "int64",
-        "act": "int64",
-        "start": "float64",  # materialised _LaneSim result planes
-        "finish": "float64",
-        "processor": "int64",
-    },
     "core/tree_store.py": {
         "offsets": "int64",  # per-tree node offsets (prefix sums)
         "sizes": "int64",
@@ -192,6 +184,11 @@ CALL_KEYWORD_DTYPES: dict[str, dict[tuple[str, str], str]] = {
         ("ScheduleResult", "start_times"): "float64",
         ("ScheduleResult", "finish_times"): "float64",
         ("ScheduleResult", "processor"): "int64",
+    },
+    "batch/lanes.py": {  # a Python lane's schedule planes
+        ("NativeOutcome", "start"): "float64",
+        ("NativeOutcome", "finish"): "float64",
+        ("NativeOutcome", "processor"): "int64",
     },
 }
 

@@ -1,14 +1,14 @@
-"""Batched lane engine: vectorised multi-instance simulation.
+"""Batched lane engine: the instances of one tree, resolved together.
 
 The paper's experiment grids simulate ~60 independent (processors, memory
 factor, heuristic) instances of every tree.  This subsystem runs them as
-**lanes**: stacked instances of one (tree, AO, EO) advanced in lock-step by
-one stepper over shared static planes and ``[B, n]`` state planes, with
-provably identical lanes collapsed to one simulation
-(:mod:`repro.batch.lanes`), exposed as the ``"batched"`` execution backend
-(:mod:`repro.batch.backend`), and fed zero-copy static planes through the
-:class:`~repro.core.tree_store.TreeStore` arena's workspace plane columns
-(:mod:`repro.batch.planes`).
+**lanes** of one (tree, AO, EO) over shared static planes: each lane it
+cannot prove to replay another is simulated by one call, C or Python, and
+the provably identical rest is collapsed onto it
+(:mod:`repro.batch.lanes`).  It is exposed as the ``"batched"`` execution
+backend (:mod:`repro.batch.backend`) and fed zero-copy static planes
+through the :class:`~repro.core.tree_store.TreeStore` arena's workspace
+plane columns (:mod:`repro.batch.planes`).
 """
 
 from .backend import BatchedBackend

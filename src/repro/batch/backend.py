@@ -5,13 +5,13 @@ tree group by tree group (the *lane grouping key*): every instance of one
 tree shares its :class:`~repro.experiments.runner.InstanceContext` (orders,
 minimum memory, :class:`~repro.schedulers.engine.SimWorkspace`), and the
 instances of each batched heuristic become the **lanes** of one
-:func:`~repro.batch.lanes.simulate_lanes` call — advanced together, one
-event wavefront per step, over stacked state planes, with provably
-identical lanes collapsed to a single simulation.  The grouping itself is
-a plan transform (:meth:`~repro.experiments.plan.SweepPlan.lane_groups`
-evaluated with :func:`~repro.batch.lanes.batchable_scheduler`), so a
-subset plan — the cache misses of a figure — batches exactly like the full
-grid it was cut from.
+:func:`~repro.batch.lanes.simulate_lanes` call, which simulates each lane
+it cannot prove to be a replay of another and collapses the rest.  The
+grouping itself is a plan transform
+(:meth:`~repro.experiments.plan.SweepPlan.lane_groups` evaluated with
+:func:`~repro.batch.lanes.batchable_scheduler`), so a subset plan — the
+cache misses of a figure — batches exactly like the full grid it was cut
+from.
 
 Heuristics without a lane kernel (``MemBookingRedTree``, the reference
 implementations, anything registered by users) run through the ordinary
@@ -21,10 +21,6 @@ batched or scalar — lands at its canonical row.  The output is
 byte-identical to :class:`~repro.experiments.backends.SerialBackend`
 (timing fields aside), which the parity suite and the backend benchmarks
 assert on the fig8 and fig15 configurations.
-
-``batch_size`` bounds the number of lanes per ``simulate_lanes`` call
-(``0`` — the ``"auto"`` of the CLI flag — keeps all instances of one
-(tree, heuristic) in a single batch, which maximises lane collapse).
 """
 
 from __future__ import annotations
@@ -41,14 +37,9 @@ __all__ = ["BatchedBackend"]
 
 
 class BatchedBackend(ExecutionBackend):
-    """Vectorised multi-instance execution over per-tree lane batches."""
+    """In-process execution with every tree's instances as collapsible lanes."""
 
     name = "batched"
-
-    def __init__(self, batch_size: int = 0) -> None:
-        if batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 means one batch per tree)")
-        self.batch_size = int(batch_size)
 
     def run_plan(
         self, trees: Sequence[TaskTree], plan: SweepPlan
@@ -71,55 +62,52 @@ class BatchedBackend(ExecutionBackend):
             records: dict[int, dict[str, Any]] = {}
             for scheduler, positions in lane_rows.items():
                 kernel_cls = LANE_KERNELS[scheduler]
-                size = self.batch_size or len(positions)
-                for begin in range(0, len(positions), size):
-                    chunk = positions[begin : begin + size]
-                    lanes = [
-                        (plan.combo(row)[1], plan.combo(row)[2] * context.minimum_memory)
-                        for row in chunk
-                    ]
-                    try:
-                        if faults is not None:
-                            faults.maybe_raise(
-                                "lane-engine",
-                                f"lane:{tree_index}:{scheduler}",
-                                exc=RuntimeError,
-                            )
-                        outcomes = simulate_lanes(
-                            kernel_cls,
-                            tree,
-                            context.ao,
-                            context.eo,
-                            context.workspace,
-                            lanes,
-                            native=config.native,
+                lanes = [
+                    (plan.combo(row)[1], plan.combo(row)[2] * context.minimum_memory)
+                    for row in positions
+                ]
+                try:
+                    if faults is not None:
+                        faults.maybe_raise(
+                            "lane-engine",
+                            f"lane:{tree_index}:{scheduler}",
+                            exc=RuntimeError,
                         )
-                    except Exception:
-                        # Lane engine down for this batch: leave its rows out
-                        # of ``records`` so the scalar loop below recomputes
-                        # them one by one — same values, no lane collapse.  A
-                        # systemic failure (e.g. native REQUIRED but absent)
-                        # re-raises from the scalar path instead of looping.
-                        current_health().record_degradation("batched->serial")
-                        continue
-                    # A representative's record checks its schedule once and
-                    # fills its peak; a clone copies that peak unchecked.
-                    for lane, (row, (result, back)) in enumerate(zip(chunk, outcomes)):
-                        _, num_processors, memory_factor = plan.combo(row)
-                        if back:
-                            result.peak_memory = records[chunk[lane - back]]["peak_memory"]
-                        records[row] = complete_record(
-                            context,
-                            scheduler,
-                            num_processors,
-                            memory_factor,
-                            config,
-                            result,
-                            run_validation=not back,
-                            peak_deferred=not back,
-                        )
+                    outcomes = simulate_lanes(
+                        kernel_cls,
+                        tree,
+                        context.ao,
+                        context.eo,
+                        context.workspace,
+                        lanes,
+                        native=config.native,
+                    )
+                except Exception:
+                    # Lane engine down for this call: leave its rows out
+                    # of ``records`` so the scalar loop below recomputes
+                    # them one by one — same values, no lane collapse.  A
+                    # systemic failure (e.g. native REQUIRED but absent)
+                    # re-raises from the scalar path instead of looping.
+                    current_health().record_degradation("batched->serial")
+                    continue
+                # A representative's record checks its schedule once and
+                # fills its peak; a clone copies that peak unchecked.
+                for lane, (row, (result, back)) in enumerate(zip(positions, outcomes)):
+                    _, num_processors, memory_factor = plan.combo(row)
+                    if back:
+                        result.peak_memory = records[positions[lane - back]]["peak_memory"]
+                    records[row] = complete_record(
+                        context,
+                        scheduler,
+                        num_processors,
+                        memory_factor,
+                        config,
+                        result,
+                        run_validation=not back,
+                        peak_deferred=not back,
+                    )
             # Rows are written in ascending plan order whatever order the
-            # lane batches produced them in: the dictionary-encoded
+            # lane calls produced them in: the dictionary-encoded
             # ``failure_reason`` codes must be assigned canonically.
             for row in rows:
                 record = records.get(int(row))

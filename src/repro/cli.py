@@ -59,9 +59,8 @@ Both sweep commands take ``--backend`` to pick the execution strategy
 :mod:`multiprocessing.shared_memory` and schedules at instance granularity —
 the right choice when a few huge trees must saturate many workers — or
 ``batched``, the lane engine of :mod:`repro.batch`: all instances of one
-tree advance through one in-process stepper with provably identical lanes
-collapsed to a single simulation (``--batch-size`` bounds the lanes per
-batch; ``0`` = all instances of a tree).  The default ``auto`` keeps the
+tree are resolved together in-process, with provably identical lanes
+collapsed to a single simulation.  The default ``auto`` keeps the
 historical behaviour (serial for ``--jobs 1``, per-tree chunking
 otherwise); the records are identical for every backend.
 
@@ -173,13 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "batched = lane-batched in-process stepper)",
     )
     schedule.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        help="lanes per batch for --backend batched (0 = auto: all instances "
-        "of one tree per batch)",
-    )
-    schedule.add_argument(
         "--json",
         action="store_true",
         help="print the full schedule record as machine-readable JSON "
@@ -221,13 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep execution backend (shared-memory = zero-copy arena transfer "
         "+ instance-granularity scheduling; batched = lane-batched in-process "
         "stepper with provable lane collapse)",
-    )
-    figure.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        help="lanes per batch for --backend batched (0 = auto: all instances "
-        "of one tree per batch)",
     )
     figure.add_argument(
         "--cache-dir",
@@ -444,7 +429,6 @@ def _cmd_schedule_dataset(args: argparse.Namespace) -> int:
         execution_order=args.eo,
         jobs=args.jobs,
         backend=args.backend,
-        batch_size=args.batch_size,
         native=args.native,
     )
     records = run_sweep(trees, config)
@@ -677,7 +661,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             scale=args.scale,
             jobs=args.jobs,
             backend=args.backend,
-            batch_size=args.batch_size,
             native=args.native,
             fault_plan=args.faults,
             cache=cache if cache is not None else InMemoryRowCache(),
@@ -697,7 +680,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         scale=args.scale,
         jobs=args.jobs,
         backend=args.backend,
-        batch_size=args.batch_size,
         native=args.native,
         fault_plan=args.faults,
         cache=cache,

@@ -6,7 +6,7 @@ heuristic) instance — to an :class:`ExecutionBackend`.  Backends live in a
 :func:`register_backend` registry (so new strategies plug in without
 touching the resolver); four are built in — the three below plus
 :class:`repro.batch.BatchedBackend` (``"batched"``), which batches all the
-instances of one tree into a lock-step lane engine in-process:
+instances of one tree into one in-process lane-engine call:
 
 :class:`SerialBackend` (``"serial"``)
     Everything in-process, one instance after the other.  The canonical
@@ -124,12 +124,11 @@ def register_backend(
     ``jobs`` is the resolved worker-count request (which jobs-less backends
     simply ignore, like :class:`SerialBackend` always has) and ``config``
     the :class:`~repro.experiments.config.SweepConfig` being executed, so a
-    backend can pick up its own knobs (the batched backend reads
-    ``config.batch_size``).  Registration makes the name valid everywhere a
-    backend is spelled: ``SweepConfig.backend``, ``run_sweep(backend=...)``
-    and the ``--backend`` CLI flags.  ``"auto"`` is reserved (it is a
-    resolution rule, not a backend) and duplicate names are rejected so two
-    plugins cannot silently shadow each other.
+    backend can pick up its own knobs.  Registration makes the name valid
+    everywhere a backend is spelled: ``SweepConfig.backend``,
+    ``run_sweep(backend=...)`` and the ``--backend`` CLI flags.  ``"auto"``
+    is reserved (it is a resolution rule, not a backend) and duplicate names
+    are rejected so two plugins cannot silently shadow each other.
     """
     global BACKEND_NAMES
     if name == "auto":
@@ -755,8 +754,8 @@ def _batched_factory(jobs: int, config: SweepConfig) -> ExecutionBackend:
     # in the scheduler kernels, which cold CLI paths should not pay for.
     from ..batch import BatchedBackend
 
-    _ = jobs  # in-process, like SerialBackend
-    return BatchedBackend(batch_size=getattr(config, "batch_size", 0))
+    _ = (jobs, config)  # in-process, like SerialBackend
+    return BatchedBackend()
 
 
 register_backend("serial", lambda jobs, config: SerialBackend())

@@ -56,15 +56,11 @@ class SweepConfig:
         (resolved through the :func:`repro.experiments.backends.register_backend`
         registry): ``"serial"`` (in-process), ``"process"`` (one pickled tree
         per pool task), ``"shared-memory"`` (zero-copy arena transfer,
-        instance-granularity scheduling), ``"batched"`` (the lane-batched
-        in-process stepper of :mod:`repro.batch` — all instances of one tree
-        advanced in lock-step) or ``"auto"`` (the default — serial for one
-        worker, ``"process"`` otherwise, the historical behaviour).
-    batch_size:
-        Lanes per batch for the ``"batched"`` backend; ``0`` (the CLI's
-        ``auto``) keeps every instance of one (tree, heuristic) in a single
-        batch, which maximises lane collapse.  Execution-only — like
-        ``jobs`` and ``backend`` it never changes the records produced.
+        instance-granularity scheduling), ``"batched"`` (the in-process
+        lane engine of :mod:`repro.batch` — all instances of one tree
+        resolved together, provably identical ones simulated once) or
+        ``"auto"`` (the default — serial for one worker, ``"process"``
+        otherwise, the historical behaviour).
     native:
         Compiled kernel plane selection (:mod:`repro.native`): ``True``
         requires the C kernels (raise if they cannot be built), ``False``
@@ -103,7 +99,6 @@ class SweepConfig:
     validate: bool = True
     jobs: int = 1
     backend: str = "auto"
-    batch_size: int = 0
     native: bool | None = None
     fault_plan: str | None = None
     timing_repetitions: int = 1
@@ -119,8 +114,6 @@ class SweepConfig:
             raise ValueError("min_completion_fraction must be in [0, 1]")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means one worker per CPU)")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 means one batch per tree)")
         if self.timing_repetitions < 1:
             raise ValueError("timing_repetitions must be >= 1")
         # Local import: backends imports this module for type information.

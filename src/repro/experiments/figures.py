@@ -435,13 +435,13 @@ def _analyze_redtree(spec: FigureSpec, tables: list[RecordTable]) -> FigureResul
 # --------------------------------------------------------------------------- #
 # text statistics and ablations (in-process custom figures)
 # --------------------------------------------------------------------------- #
-def lb_stats(scale: str = "small", seed: int = 2017, jobs: int = 1, backend: str = "auto", batch_size: int = 0, native: bool | None = None, fault_plan: str | None = None, cache: ResultCache | None = None, workload_cache: WorkloadCache | None = None) -> FigureResult:
+def lb_stats(scale: str = "small", seed: int = 2017, jobs: int = 1, backend: str = "auto", native: bool | None = None, fault_plan: str | None = None, cache: ResultCache | None = None, workload_cache: WorkloadCache | None = None) -> FigureResult:
     """Section 6 statistics: how often the memory-aware bound improves the classical one.
 
     ``jobs`` and ``backend`` are accepted for interface uniformity with the
     sweep-based figures; the bound statistics are cheap and computed in-process.
     """
-    _ = (jobs, backend, batch_size, native, fault_plan, cache)
+    _ = (jobs, backend, native, fault_plan, cache)
     series: Series = {}
     checks: dict[str, bool] = {}
     for kind, tree_seed in (("assembly", seed), ("synthetic", seed + 1)):
@@ -472,13 +472,13 @@ def lb_stats(scale: str = "small", seed: int = 2017, jobs: int = 1, backend: str
     )
 
 
-def ablation_dispatch(scale: str = "small", seed: int = 7011, jobs: int = 1, backend: str = "auto", batch_size: int = 0, native: bool | None = None, fault_plan: str | None = None, cache: ResultCache | None = None, workload_cache: WorkloadCache | None = None) -> FigureResult:
+def ablation_dispatch(scale: str = "small", seed: int = 7011, jobs: int = 1, backend: str = "auto", native: bool | None = None, fault_plan: str | None = None, cache: ResultCache | None = None, workload_cache: WorkloadCache | None = None) -> FigureResult:
     """Ablation: ALAP dispatch to computed candidates vs strict Algorithm 3 dispatch.
 
     ``jobs`` and ``backend`` are accepted for interface uniformity; the
     ablation drives hand-constructed scheduler variants and stays in-process.
     """
-    _ = (jobs, backend, batch_size, native, fault_plan, cache)
+    _ = (jobs, backend, native, fault_plan, cache)
     trees = _dataset("synthetic", scale, seed, workload_cache)
     factors = (1.0, 1.5, 2.0, 5.0)
     series: Series = {"alap_dispatch": [], "strict_dispatch": []}
@@ -525,7 +525,7 @@ def ablation_dispatch(scale: str = "small", seed: int = 7011, jobs: int = 1, bac
     )
 
 
-def ablation_lazy_subtree(scale: str = "small", seed: int = 99, jobs: int = 1, backend: str = "auto", batch_size: int = 0, native: bool | None = None, fault_plan: str | None = None, cache: ResultCache | None = None, workload_cache: WorkloadCache | None = None) -> FigureResult:
+def ablation_lazy_subtree(scale: str = "small", seed: int = 99, jobs: int = 1, backend: str = "auto", native: bool | None = None, fault_plan: str | None = None, cache: ResultCache | None = None, workload_cache: WorkloadCache | None = None) -> FigureResult:
     """Ablation: optimised data structures vs the reference implementation (timing).
 
     Both implementations now share the heap-based ``ReadyQueue`` for their
@@ -538,7 +538,7 @@ def ablation_lazy_subtree(scale: str = "small", seed: int = 99, jobs: int = 1, b
     ablation measures in-process scheduling time, which parallel workers
     would distort.
     """
-    _ = (jobs, backend, batch_size, native, fault_plan, cache, workload_cache)
+    _ = (jobs, backend, native, fault_plan, cache, workload_cache)
     sizes = (200, 500, 1000, 2000) if scale != "tiny" else (100, 200, 400)
     from ..workloads.synthetic import SyntheticTreeConfig, synthetic_tree
 
@@ -821,7 +821,6 @@ def _legacy_entry(figure_id: str, doc: str) -> Callable[..., FigureResult]:
         seed: int | None = None,
         jobs: int = 1,
         backend: str = "auto",
-        batch_size: int = 0,
         native: bool | None = None,
         fault_plan: str | None = None,
         cache: ResultCache | None = None,
@@ -831,7 +830,6 @@ def _legacy_entry(figure_id: str, doc: str) -> Callable[..., FigureResult]:
             scale=scale,
             jobs=jobs,
             backend=backend,
-            batch_size=batch_size,
             native=native,
             fault_plan=fault_plan,
             cache=cache,

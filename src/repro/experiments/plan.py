@@ -159,8 +159,8 @@ class SweepPlan:
         global_index: np.ndarray,
     ) -> None:
         #: The sweep configuration the plan enumerates (value-relevant fields
-        #: plus the execution knobs backends read: jobs/backend/batch_size/
-        #: native travel with the plan unchanged).
+        #: plus the execution knobs backends read: jobs/backend/native
+        #: travel with the plan unchanged).
         self.config = config
         self.num_trees = int(num_trees)
         #: Code table for ``scheduler_code`` (codes index this tuple).
@@ -335,9 +335,9 @@ class SweepPlan:
         (a validated row additionally certifies its schedule).  The record
         schema version, the instance-cache schema version and the package
         version participate so upgrades invalidate rather than silently
-        serve stale rows.  Execution-only knobs (jobs/backend/batch_size/
-        native) and the aggregation-only ``min_completion_fraction`` are
-        deliberately absent — they never change record values.
+        serve stale rows.  Execution-only knobs (jobs/backend/native) and
+        the aggregation-only ``min_completion_fraction`` are deliberately
+        absent — they never change record values.
         """
         from .. import __version__
         from .records import _VERSION as record_schema_version
@@ -376,17 +376,12 @@ class SweepPlan:
             "orders": f"{self.config.activation_order}/{self.config.execution_order}",
         }
 
-    def lane_group_count(
-        self, batchable: Callable[[str], bool], batch_size: int = 0
-    ) -> int:
+    def lane_group_count(self, batchable: Callable[[str], bool]) -> int:
         """Number of ``simulate_lanes`` calls the batched backend would make."""
-        calls = 0
-        for _, positions in self.tree_groups():
-            groups, _ = self.lane_groups(positions, batchable)
-            for rows in groups.values():
-                size = batch_size or len(rows)
-                calls += (len(rows) + size - 1) // size
-        return calls
+        return sum(
+            len(self.lane_groups(positions, batchable)[0])
+            for _, positions in self.tree_groups()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -68,6 +68,7 @@ import mmap
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -118,11 +119,12 @@ class Field:
     #: integer codes, the value table lives in the arena metadata.
     encoding: str | None = None
 
-    @property
+    # Cached per field: ``set_row`` reads both for every field of every row.
+    @cached_property
     def np_dtype(self) -> np.dtype:
         return np.dtype(self.dtype)
 
-    @property
+    @cached_property
     def str_width(self) -> int | None:
         """Character capacity for unicode columns, ``None`` for scalars."""
         dt = self.np_dtype
@@ -685,7 +687,7 @@ class ResultCache:
     #: faults reproduce identical records and quarantined rows are never
     #: written to the cache (:func:`~repro.experiments.plan.execute_plan_cached`).
     EXECUTION_ONLY_FIELDS = frozenset(
-        {"jobs", "backend", "batch_size", "native", "fault_plan"}
+        {"jobs", "backend", "native", "fault_plan"}
     )
 
     def __init__(self, directory: str | Path) -> None:

@@ -1,7 +1,7 @@
 """Declarative figure specifications and their generic execution driver.
 
 Seventeen figure functions used to hand-thread the same eight execution
-parameters (``scale, seed, jobs, backend, batch_size, native, cache,
+parameters (``scale, seed, jobs, backend, native, cache,
 workload_cache``) into near-identical bodies: generate a dataset, build one
 or more :class:`~repro.experiments.config.SweepConfig` grids, sweep, reduce
 records to series, attach checks.  This module factors that shape into
@@ -113,7 +113,6 @@ class RunContext:
     scale: str = "small"
     jobs: int = 1
     backend: str = "auto"
-    batch_size: int = 0
     native: bool | None = None
     #: Fault-injection plan spec (``None`` defers to ``REPRO_FAULTS``); see
     #: :mod:`repro.resilience.faults`.  Execution-only like everything else
@@ -246,7 +245,6 @@ class GridSpec:
             "memory_factors": tuple(self.memory_factors),
             "jobs": ctx.jobs,
             "backend": ctx.backend,
-            "batch_size": ctx.batch_size,
             "native": ctx.native,
             "fault_plan": ctx.fault_plan,
         }
@@ -318,7 +316,6 @@ def run_spec(
             seed=effective_seed,
             jobs=ctx.jobs,
             backend=ctx.backend,
-            batch_size=ctx.batch_size,
             native=ctx.native,
             cache=ctx.cache,
             workload_cache=ctx.workload_cache,
@@ -389,7 +386,7 @@ def plan_report(specs: Sequence[FigureSpec], ctx: RunContext) -> dict[str, Any]:
                     overlap += 1
                 else:
                     new_keys.add(key)
-            lane_groups += plan.lane_group_count(batchable_scheduler, ctx.batch_size)
+            lane_groups += plan.lane_group_count(batchable_scheduler)
         if cache is not None and new_keys:
             count = getattr(cache, "count_cached", None)
             if count is not None:

@@ -73,7 +73,6 @@ def run_suite(
     scale: str = "small",
     jobs: int = 1,
     backend: str = "auto",
-    batch_size: int = 0,
     native: bool | None = None,
     fault_plan: str | None = None,
     cache: RowCache | None = None,
@@ -108,7 +107,6 @@ def run_suite(
         scale=scale,
         jobs=jobs,
         backend=backend,
-        batch_size=batch_size,
         native=native,
         fault_plan=fault_plan,
         cache=row_cache,
@@ -212,13 +210,6 @@ def add_suite_arguments(parser: argparse.ArgumentParser) -> None:
         "batched = lane-batched in-process stepper)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        help="lanes per batch for --backend batched (0 = auto: all instances "
-        "of one tree per batch)",
-    )
-    parser.add_argument(
         "--native",
         action="store_true",
         dest="native",
@@ -295,7 +286,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             scale=args.scale,
             jobs=args.jobs,
             backend=args.backend,
-            batch_size=args.batch_size,
             native=args.native,
             fault_plan=fault_plan,
             cache=cache if cache is not None else InMemoryRowCache(),
@@ -312,7 +302,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         scale=args.scale,
         jobs=args.jobs,
         backend=args.backend,
-        batch_size=args.batch_size,
         native=args.native,
         fault_plan=fault_plan,
         cache=cache,

@@ -1,7 +1,7 @@
 """High-level entry point: run one instance through the compiled stepper.
 
 ``simulate`` is the native twin of ``EventDrivenScheduler._run_simulation``
-(and of one lane of ``lanes._run_batch``): it takes the contiguous planes
+(and of the Python lane loop ``lanes._drain``): it takes the contiguous planes
 of a :class:`~repro.schedulers.engine.SimWorkspace`, allocates the output
 arrays, performs the single C call, and translates the returned stats
 struct into the exact Python-side artefacts -- including the verbatim

@@ -24,8 +24,8 @@
  *    exact RuntimeError the scalar kernels raise.
  *
  * Diagnostics (peak_running / blocked / memory_bound / starve_min /
- * bound_need / orphans) are tracked with the exact semantics of the lane engine
- * (repro.batch.lanes._run_batch) so the batched backend's collapse
+ * bound_need / orphans) are tracked with the exact semantics of the Python
+ * lane loop (repro.batch.lanes._drain) so the batched backend's collapse
  * decisions are identical whichever implementation simulated a lane.  The
  * scalar engine ignores them.
  *

@@ -71,10 +71,10 @@ def run_activation_scan(
     Shared by the scalar :class:`ActivationScheduler` and the batched lane
     kernel of :mod:`repro.batch.lanes`, so the two implementations cannot
     drift: the exact ledger fold (scalar burst first, then the chunked
-    exact-``cumsum`` prefix scan) lives here once.  The per-node containers
-    are duck-typed — the scalar kernel passes a ``bytearray``/``list`` pair,
-    the lane kernel passes rows of its ``[B, n]`` NumPy planes — and the
-    arithmetic is pure-Python floats either way, so schedules are identical.
+    exact-``cumsum`` prefix scan) lives here once.  Both pass a
+    ``bytearray``/``list`` pair as the per-node containers (any mutable
+    sequences work) and the arithmetic is pure-Python floats, so schedules
+    are identical.
 
     Returns the advanced ``(next position, booked, peak booked)``; activation
     flags are set and newly available tasks pushed onto ``ready`` in place.

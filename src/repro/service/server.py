@@ -353,7 +353,6 @@ class SchedulerService:
             execution_order=str(request.get("eo", "memPO")),
             validate=bool(request.get("validate", True)),
             native=self.native if request.get("native") is None else bool(request["native"]),
-            batch_size=int(request.get("batch_size", 0)),
         )
         plan = SweepPlan.from_config(config, len(dataset.trees))
         rows = request.get("rows")

@@ -78,10 +78,8 @@ class TestRegistry:
         with pytest.raises(ValueError, match="batched"):
             resolve_backend("teleport", config, 3)
 
-    def test_batched_resolves_with_config_batch_size(self, config):
-        backend = resolve_backend("batched", config.with_overrides(batch_size=7), 3)
-        assert isinstance(backend, BatchedBackend)
-        assert backend.batch_size == 7
+    def test_batched_resolves_by_name(self, config):
+        assert isinstance(resolve_backend("batched", config, 3), BatchedBackend)
 
     def test_jobsless_batched_instance_with_explicit_jobs_warns(self, config):
         """The jobs-override warning semantics survive the registry refactor."""
@@ -99,18 +97,6 @@ class TestBatchedBackend:
         serial = run_sweep(trees, config, backend=SerialBackend())
         batched = run_sweep(trees, config.with_overrides(backend="batched"))
         assert record_bytes(batched) == record_bytes(serial)
-
-    @pytest.mark.parametrize("batch_size", [1, 2, 5])
-    def test_batch_size_chunking_is_invisible(self, trees, config, batch_size):
-        serial = run_sweep(trees, config, backend=SerialBackend())
-        chunked = run_sweep(trees, config, backend=BatchedBackend(batch_size=batch_size))
-        assert record_bytes(chunked) == record_bytes(serial)
-
-    def test_negative_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            BatchedBackend(batch_size=-1)
-        with pytest.raises(ValueError, match="batch_size"):
-            SweepConfig(batch_size=-1)
 
     def test_empty_sweep(self, config):
         assert len(BatchedBackend().run([], config)) == 0
@@ -130,7 +116,12 @@ class TestBatchedBackend:
         batched = run_sweep(trees, config, backend=BatchedBackend())
         assert record_bytes(batched) == record_bytes(serial)
 
-    def test_batch_size_excluded_from_result_cache_key(self, config):
+    def test_execution_knobs_excluded_from_result_cache_key(self, config, tmp_path):
         from repro.experiments.records import ResultCache
 
-        assert "batch_size" in ResultCache.EXECUTION_ONLY_FIELDS
+        cache = ResultCache(tmp_path)
+        dataset = ("synthetic", "tiny", 1)
+        knobs = config.with_overrides(
+            jobs=4, backend="batched", native=False, fault_plan="seed=1"
+        )
+        assert cache.key(dataset, knobs) == cache.key(dataset, config)

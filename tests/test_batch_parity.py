@@ -3,12 +3,15 @@
 The contract of :mod:`repro.batch` is *bit-identical* records: for any
 sweep, ``BatchedBackend`` must reproduce ``SerialBackend`` exactly (timing
 fields aside), across heuristics, AO/EO choices, memory factors — failure
-paths included — and regardless of which internal path (lock-step
-wavefront, per-lane heap drain, lane collapse) resolved each lane.  The
-seeded randomized fuzz below drives random trees through the full grid and
+paths included — whether a lane was simulated or collapsed.  The seeded
+randomized fuzz below drives random trees through the full grid and
 asserts three-way equality: batched == scalar kernels == the frozen
 :mod:`repro.schedulers.reference` generation (the serial path with the
 reference factories patched in), with exact float comparisons.
+
+Every sweep here pins ``native=False``, so it exercises the Python lanes;
+``tests/test_native.py`` covers the C lanes, and
+:func:`test_python_lane_matches_native_lane` ties the two together.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import numpy as np
 import pytest
 
 import repro.batch.lanes as lanes_mod
+import repro.native as native_mod
 from repro.batch import BatchedBackend, LANE_KERNELS, simulate_lanes
 from repro.experiments import SweepConfig, run_sweep
 from repro.experiments.backends import SerialBackend
 from repro.experiments.runner import prepare_instance
+from repro.native.build import _find_compiler
 from repro.schedulers import SCHEDULER_FACTORIES
 from repro.schedulers.reference import REFERENCE_FACTORIES
 from repro.schedulers.validation import resident_peak
@@ -67,6 +72,7 @@ FUZZ_CONFIGS = [
         processors=(1, 2, 5, 16),
         min_completion_fraction=0.0,
         validate=False,
+        native=False,
     ),
     SweepConfig(
         schedulers=("Activation", "MemBooking", "MemBookingReference"),
@@ -75,6 +81,7 @@ FUZZ_CONFIGS = [
         activation_order="memPO",
         execution_order="CP",
         min_completion_fraction=0.0,
+        native=False,
     ),
     SweepConfig(
         schedulers=("MemBooking", "Activation"),
@@ -83,6 +90,7 @@ FUZZ_CONFIGS = [
         activation_order="OptSeq",
         execution_order="OptSeq",
         min_completion_fraction=0.0,
+        native=False,
     ),
 ]
 
@@ -116,6 +124,7 @@ def test_failure_paths_covered_and_identical(seed):
         processors=(2, 8),
         min_completion_fraction=0.0,
         validate=False,
+        native=False,
     )
     serial = run_sweep(trees, config, backend=SerialBackend())
     batched = run_sweep(trees, config, backend=BatchedBackend())
@@ -149,7 +158,7 @@ def test_blocked_replay_collapse_fires_and_stays_identical(kernel_name, seed):
             for p in (2, 4, 8, 16)
         ]
         outcomes = simulate_lanes(
-            kernel_cls, tree, context.ao, context.eo, context.workspace, grid
+            kernel_cls, tree, context.ao, context.eo, context.workspace, grid, native=False
         )
         for (p, limit), (result, _) in zip(grid, outcomes):
             scalar = kernel_cls.scheduler_class().schedule(
@@ -183,7 +192,7 @@ def test_lane_results_match_scalar_schedules_exactly(kernel_name, rng):
         for factor in (1.0, 1.4, 3.0, 25.0)
     ]
     outcomes = simulate_lanes(
-        kernel_cls, tree, context.ao, context.eo, context.workspace, lanes
+        kernel_cls, tree, context.ao, context.eo, context.workspace, lanes, native=False
     )
     assert len(outcomes) == len(lanes)
     assert any(back for _, back in outcomes), "grid chosen to exercise lane collapse"
@@ -221,22 +230,51 @@ def test_lane_results_match_scalar_schedules_exactly(kernel_name, rng):
             )
 
 
-def test_wavefront_and_drain_paths_agree(monkeypatch, rng):
-    """Both engine paths (lock-step wavefront / heap drain) are exercised.
+@pytest.mark.skipif(_find_compiler() is None, reason="no C compiler on this machine")
+@pytest.mark.parametrize("seed", [11, 4242])
+@pytest.mark.parametrize("kernel_name", sorted(LANE_KERNELS))
+def test_python_lane_matches_native_lane(kernel_name, seed):
+    """One Python lane and one C lane return the same outcome, field by field.
 
-    The drain threshold is forced to the extremes so the same sweep runs
-    entirely through each path; records must be identical to serial both
-    times.
+    The collapse rounds decide on the diagnostics as much as on the
+    schedule, so every field is compared — on sub-feasible budgets (t=0
+    failures, deadlocks) as well as generous ones.
     """
-    trees = [synthetic_tree(SyntheticTreeConfig(num_nodes=120), rng=rng)]
-    config = SweepConfig(
-        memory_factors=(1.0, 1.5, 2.0, 10.0),
-        processors=(2, 4, 16),
-        min_completion_fraction=0.0,
-    )
-    serial = record_bytes(run_sweep(trees, config, backend=SerialBackend()))
-    for threshold in (0, 10_000):
-        monkeypatch.setattr(lanes_mod, "_WAVEFRONT_MIN_LANES", threshold)
-        assert record_bytes(run_sweep(trees, config, backend=BatchedBackend())) == serial, (
-            f"engine path with threshold {threshold} diverged"
-        )
+    kernels = native_mod.native_kernels(True)
+    kernel_cls = LANE_KERNELS[kernel_name]
+    config = SweepConfig(min_completion_fraction=0.0, validate=False)
+    for index, tree in enumerate(fuzz_trees(seed)):
+        context = prepare_instance(tree, index, config)
+        workspace = context.workspace
+        template = kernel_cls.template(workspace)
+        starve_init = tree.n + 16 + 1
+        for p in (1, 2, 5, 16):
+            for factor in (0.4, 0.9, 1.0, 1.3, 3.0, 20.0):
+                limit = factor * context.minimum_memory
+                python = lanes_mod._drain(kernel_cls(workspace, limit, template), p, starve_init)
+                native = native_mod.simulate(
+                    kernels,
+                    kernel_cls.scheduler_class.native_kernel,
+                    workspace.native_planes(),
+                    p,
+                    limit,
+                    starve_init=starve_init,
+                )
+                for name in ("start", "finish", "processor"):
+                    np.testing.assert_array_equal(
+                        getattr(python, name), getattr(native, name), err_msg=name
+                    )
+                    assert getattr(python, name).dtype == getattr(native, name).dtype
+                for name in (
+                    "clock",
+                    "finished",
+                    "num_events",
+                    "failure",
+                    "extras",
+                    "peak_running",
+                    "blocked",
+                    "memory_bound",
+                    "starve_min",
+                    "bound_need",
+                ):
+                    assert getattr(python, name) == getattr(native, name), (name, p, factor)

@@ -105,7 +105,6 @@ class TestInstanceKeys:
             processors=CONFIG.processors,
             jobs=4,
             backend="shared-memory",
-            batch_size=7,
         )
         assert SweepPlan.from_config(noisy, len(trees)).instance_keys(
             trees
