@@ -60,6 +60,7 @@ from repro.experiments import SweepConfig, run_sweep
 from repro.experiments.backends import SerialBackend
 from repro.experiments.runner import prepare_instance
 from repro.native import native_kernels
+from repro.schedulers import SCHEDULER_FACTORIES
 from repro.workloads.datasets import heavyleaf_dataset, synthetic_dataset
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -262,13 +263,11 @@ def test_feasibility_boundary_collapse(bench_scale, repetitions: int = 5):
         ]
         for ctx in contexts
     ]
-    kernels = [LANE_KERNELS[name] for name in KERNEL_SCHEDULERS]
-
     def scalar_run(native):
         outcomes = []
         for tree, ctx, grid in zip(trees, contexts, grids):
-            for kernel_cls in kernels:
-                scheduler = kernel_cls.scheduler_class()
+            for name in KERNEL_SCHEDULERS:
+                scheduler = SCHEDULER_FACTORIES[name]()
                 scheduler.native = native
                 # The lanes leave the peak unfilled too: same work each side.
                 scheduler.peak_on_run = False
@@ -282,10 +281,10 @@ def test_feasibility_boundary_collapse(bench_scale, repetitions: int = 5):
     def batched_run(native):
         outcomes = []
         for tree, ctx, grid in zip(trees, contexts, grids):
-            for kernel_cls in kernels:
+            for name in KERNEL_SCHEDULERS:
                 outcomes.extend(
                     simulate_lanes(
-                        kernel_cls, tree, ctx.ao, ctx.eo, ctx.workspace, grid,
+                        LANE_KERNELS[name], tree, ctx.ao, ctx.eo, ctx.workspace, grid,
                         native=native,
                     )
                 )

@@ -23,7 +23,7 @@ The package provides:
   figure;
 * :mod:`repro.analysis` — the static kernel-contract analyzer
   (``memtree lint``): compilable-subset purity of the registered hot
-  kernels, plane dtype contracts, and the scalar/lane anti-drift rule.
+  kernels, plane dtype contracts, and the one-kernel anti-drift rule.
 
 Quick start
 -----------

@@ -9,7 +9,7 @@ stays a mechanical cross-checker:
 * the **plane dtype contracts**: the 21-field :data:`RECORD_FIELD_CONTRACT`
   mirrored from ``experiments/records.py``, the workspace plane columns of
   ``batch/planes.py``, the arena plane dtype set of ``core/tree_store.py``,
-  and the named array/keyword dtype contracts of the engine/lane modules;
+  and the named array/keyword dtype contracts of the engine module;
 * the **anti-drift** configuration: which modules are scanned, which
   variable names are protected state planes.
 
@@ -177,15 +177,11 @@ NAMED_ARRAY_DTYPES: dict[str, dict[str, str]] = {
 }
 
 #: Call-keyword dtype contracts: ``module suffix -> {(callee, keyword) ->
-#: dtype}`` — the schedule result planes every consumer (validation, records,
-#: batch collapse) indexes by dtype.
+#: dtype}`` — the schedule planes every consumer (validation, records,
+#: batch collapse) indexes by dtype.  The Python event loop builds them in
+#: the ``NativeOutcome`` it returns, which becomes the ``ScheduleResult``.
 CALL_KEYWORD_DTYPES: dict[str, dict[tuple[str, str], str]] = {
     "schedulers/engine.py": {
-        ("ScheduleResult", "start_times"): "float64",
-        ("ScheduleResult", "finish_times"): "float64",
-        ("ScheduleResult", "processor"): "int64",
-    },
-    "batch/lanes.py": {  # a Python lane's schedule planes
         ("NativeOutcome", "start"): "float64",
         ("NativeOutcome", "finish"): "float64",
         ("NativeOutcome", "processor"): "int64",
@@ -205,6 +201,7 @@ DRIFT_MODULE_SUFFIXES: tuple[str, ...] = (
     "schedulers/activation.py",
     "schedulers/membooking.py",
     "schedulers/membooking_redtree.py",
+    "schedulers/list_scheduler.py",
     "batch/lanes.py",
 )
 
@@ -212,7 +209,7 @@ DRIFT_MODULE_SUFFIXES: tuple[str, ...] = (
 #: ``self``-attributes alike).  Subscript stores and augmented subscript
 #: stores on these outside a registered kernel / plane mutator are AD301
 #: findings: a second implementation of the transition rules is exactly the
-#: drift the shared-kernel refactor of PR 5 exists to prevent.
+#: drift that one kernel class per heuristic exists to prevent.
 STATE_PLANE_NAMES: frozenset[str] = frozenset(
     {
         "activated",

@@ -2,9 +2,9 @@
 
 PR 5's collapse-provenance bug happened because a second, slightly
 different copy of a state transition lived in the batch path and the parity
-fuzz only caught it late.  The structural fix was routing scalar and lane
-engines through the *same* transition kernels; this rule keeps it that way
-statically: inside the policed modules
+fuzz only caught it late.  Today each heuristic has one kernel class, which
+the schedulers and the batched lanes both run through one event loop; this
+rule keeps it that way statically: inside the policed modules
 (:data:`repro.analysis.contracts.DRIFT_MODULE_SUFFIXES`), a subscript store
 into a protected state plane (``activated[j] = True``,
 ``self._state[node] = CAND``, ``booked[lane] += need`` …) is only legal

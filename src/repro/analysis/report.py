@@ -116,7 +116,7 @@ def build_parser(prog: str = "python -m repro.analysis") -> argparse.ArgumentPar
         prog=prog,
         description=(
             "Static kernel-contract analyzer: compilable-subset purity, "
-            "plane dtype contracts, scalar/lane anti-drift."
+            "plane dtype contracts, one-kernel anti-drift."
         ),
     )
     parser.add_argument(

@@ -12,18 +12,11 @@ plane columns (:mod:`repro.batch.planes`).
 """
 
 from .backend import BatchedBackend
-from .lanes import (
-    LANE_KERNELS,
-    ActivationLaneKernel,
-    MemBookingLaneKernel,
-    simulate_lanes,
-)
+from .lanes import LANE_KERNELS, simulate_lanes
 from .planes import WORKSPACE_PLANE_NAMES, workspace_planes
 
 __all__ = [
     "BatchedBackend",
-    "ActivationLaneKernel",
-    "MemBookingLaneKernel",
     "LANE_KERNELS",
     "simulate_lanes",
     "WORKSPACE_PLANE_NAMES",

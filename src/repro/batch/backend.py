@@ -13,9 +13,9 @@ grouping itself is a plan transform
 cache misses of a figure — batches exactly like the full grid it was cut
 from.
 
-Heuristics without a lane kernel (``MemBookingRedTree``, the reference
-implementations, anything registered by users) run through the ordinary
-scalar :func:`~repro.experiments.runner.run_single` path inside the same
+Heuristics the lane engine does not batch (``MemBookingRedTree``, the
+reference implementations, anything registered by users) run through the
+ordinary :func:`~repro.experiments.runner.run_single` path inside the same
 per-tree loop, so any sweep configuration is accepted and every record —
 batched or scalar — lands at its canonical row.  The output is
 byte-identical to :class:`~repro.experiments.backends.SerialBackend`
@@ -81,6 +81,7 @@ class BatchedBackend(ExecutionBackend):
                         context.workspace,
                         lanes,
                         native=config.native,
+                        repetitions=config.timing_repetitions,
                     )
                 except Exception:
                     # Lane engine down for this call: leave its rows out

@@ -17,7 +17,7 @@ Eight sub-commands cover the typical workflows of the library:
 ``memtree lint``
     Run the static kernel-contract analyzer (:mod:`repro.analysis`) over the
     package (or given paths): compilable-subset purity of the registered hot
-    kernels, plane dtype contracts, and the scalar/lane anti-drift rule.
+    kernels, plane dtype contracts, and the one-kernel anti-drift rule.
     Exits nonzero on findings that are neither waived in source
     (``# kernel-ok: <rule>``) nor recorded in a committed baseline.
 ``memtree figure``

@@ -78,16 +78,16 @@ class SweepConfig:
         quarantined into the failure plane, and such rows are never
         cached).
     timing_repetitions:
-        Number of times each instance's simulation is run on the scalar
-        path, keeping the *minimum* wall-clock ``scheduling_seconds`` (the
+        Number of times each instance's simulation is run, keeping the
+        *minimum* wall-clock ``scheduling_seconds`` (the
         standard guard against one-off scheduler/GC noise).  The timing
         figures (fig5, fig6, fig13) set this above 1 so their committed
         artifacts are stable across regenerations.  Execution-only: value
         fields come from the first run and the simulations are
         deterministic, so only the wall-clock timing fields — which are
         excluded from every byte-identity check and cache key — are
-        affected.  Best-effort on the batched lane path (collapsed lanes
-        replay their representative's timing unchanged).
+        affected.  On the batched lane path every simulated lane repeats
+        its call; collapsed lanes report their representative's timing.
     """
 
     schedulers: tuple[str, ...] = PAPER_HEURISTICS

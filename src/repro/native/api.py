@@ -1,11 +1,11 @@
 """High-level entry point: run one instance through the compiled stepper.
 
-``simulate`` is the native twin of ``EventDrivenScheduler._run_simulation``
-(and of the Python lane loop ``lanes._drain``): it takes the contiguous planes
+``simulate`` is the native twin of the Python event loop
+``repro.schedulers.engine.simulate_kernel``: it takes the contiguous planes
 of a :class:`~repro.schedulers.engine.SimWorkspace`, allocates the output
 arrays, performs the single C call, and translates the returned stats
 struct into the exact Python-side artefacts -- including the verbatim
-failure strings and the ledger ``RuntimeError`` the scalar kernels raise.
+failure strings and the ledger ``RuntimeError`` the Python kernels raise.
 
 ``check_schedule`` is the native half of
 :func:`repro.schedulers.validation.validate_schedule`: one C call returns a
@@ -77,7 +77,7 @@ class NativePlanes:
 
 @dataclass(frozen=True)
 class NativeOutcome:
-    """Everything a caller (scalar engine or lane engine) needs."""
+    """Everything a caller (a scheduler or the lane engine) needs."""
 
     start: np.ndarray
     finish: np.ndarray

@@ -21,13 +21,13 @@
  *    and freed processors are pushed back in completion order;
  *  - ledger failure (over-release beyond tolerance) aborts the run with
  *    failure code 3 and the offending value; the Python wrapper raises the
- *    exact RuntimeError the scalar kernels raise.
+ *    exact RuntimeError the Python kernels raise.
  *
  * Diagnostics (peak_running / blocked / memory_bound / starve_min /
  * bound_need / orphans) are tracked with the exact semantics of the Python
- * lane loop (repro.batch.lanes._drain) so the batched backend's collapse
- * decisions are identical whichever implementation simulated a lane.  The
- * scalar engine ignores them.
+ * event loop (repro.schedulers.engine.simulate_kernel) so the batched
+ * backend's collapse decisions are identical whichever implementation
+ * simulated a lane.  The schedulers ignore them.
  *
  * memtree_check_schedule is the native half of validate_schedule and
  * memory_profile (repro.schedulers.validation).  Its contract is accept or

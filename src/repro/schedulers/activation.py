@@ -14,7 +14,8 @@ concurrently, which starves other branches of memory and therefore of
 parallelism.  Quantifying that loss (and recovering it with MemBooking) is
 the core of the paper.
 
-Implementation: array-native.  The per-node state lives in flat vectors
+Implementation: :class:`ActivationKernel`, driven by the event loop of
+:mod:`repro.schedulers.engine`.  The per-node state lives in flat vectors
 (activation flags, children-remaining counters) indexed by node id; the
 booking requests along the AO are a precomputed
 :class:`~repro.schedulers.engine.SimWorkspace` plane, and the activation
@@ -30,18 +31,19 @@ parity suite asserts it.
 
 from __future__ import annotations
 
+import math
 from heapq import heappush
 from typing import Any, MutableSequence, Sequence
 
 import numpy as np
 
 from ..analysis.registry import hot_kernel
-from .engine import EventDrivenScheduler
+from .engine import EventDrivenScheduler, SimWorkspace
 
-__all__ = ["ActivationScheduler", "run_activation_scan"]
+__all__ = ["ActivationKernel", "ActivationScheduler", "run_activation_scan"]
 
 #: Activations taken one at a time before switching to the vector scan.
-#: Most ``_activate`` calls admit zero or a couple of nodes — a NumPy kernel
+#: Most ``activate`` calls admit zero or a couple of nodes — a NumPy kernel
 #: for those costs more than it saves — while the large bursts (t = 0, big
 #: frees) run through the cumsum scan.
 _SCALAR_BURST = 16
@@ -51,7 +53,7 @@ _SCALAR_BURST = 16
 _SCAN_CHUNK = 64
 
 
-@hot_kernel(note="UpdateCAND-ACT transition, shared scalar/lane")
+@hot_kernel(note="UpdateCAND-ACT transition")
 def run_activation_scan(
     pos: int,
     total: int,
@@ -68,13 +70,10 @@ def run_activation_scan(
 ) -> tuple[int, float, float]:
     """The ``UpdateCAND-ACT`` transition of Algorithm 1, as a pure function.
 
-    Shared by the scalar :class:`ActivationScheduler` and the batched lane
-    kernel of :mod:`repro.batch.lanes`, so the two implementations cannot
-    drift: the exact ledger fold (scalar burst first, then the chunked
-    exact-``cumsum`` prefix scan) lives here once.  Both pass a
-    ``bytearray``/``list`` pair as the per-node containers (any mutable
-    sequences work) and the arithmetic is pure-Python floats, so schedules
-    are identical.
+    The exact ledger fold of :class:`ActivationKernel`: a scalar burst
+    first, then the chunked exact-``cumsum`` prefix scan.  The per-node
+    containers are a ``bytearray``/``list`` pair (any mutable sequences
+    work) and the arithmetic is pure-Python floats.
 
     Returns the advanced ``(next position, booked, peak booked)``; activation
     flags are set and newly available tasks pushed onto ``ready`` in place.
@@ -129,117 +128,156 @@ def run_activation_scan(
     return pos, booked, peak
 
 
-class ActivationScheduler(EventDrivenScheduler):
-    """Algorithm 1 of the paper (the baseline activation policy)."""
+class ActivationKernel:
+    """One run's state of the Activation heuristic (Algorithm 1).
+
+    Activation flags are a ``bytearray``, children counters a flat list and
+    the ledger Python floats; :meth:`bind` returns the transitions as
+    closures over them, whose ``UpdateCAND-ACT`` fold is
+    :func:`run_activation_scan`.
+    """
 
     name = "Activation"
     #: Compiled twin (repro.native): the full event loop with this
     #: heuristic's activation scan and release ledger.
     native_kernel = "activation"
 
-    # ------------------------------------------------------------------ #
-    # engine hooks
-    # ------------------------------------------------------------------ #
-    def _setup(self) -> None:
-        ws = self.workspace
-        assert ws is not None  # the engine installs it before _setup
-        limit = self.memory_limit
+    @staticmethod
+    def template(workspace: SimWorkspace) -> None:
+        """Run-independent state: none, every Activation run starts empty."""
+        return None
+
+    def __init__(
+        self, workspace: SimWorkspace, memory_limit: float, template: None = None
+    ) -> None:
+        self.workspace = workspace
+        limit = self.limit = float(memory_limit)
         # Inlined MemoryLedger: same bound, tolerance and clamp semantics,
         # kept in local floats instead of method calls on the hot path.
-        self._limit = limit
-        self._tol = 1e-9 * max(1.0, limit)
-        self._threshold = limit + self._tol
-        self._booked = 0.0
-        self._peak_booked = 0.0
-        # Position of the next node of AO to try to activate.
-        self._next_activation = 0
-        self._total = ws.n
-        # Flat per-node state vectors (indexed by node id).
-        self._activated = bytearray(ws.n)
-        self._ch_not_fin = ws.num_children_list.copy()
-        # Static planes shared by every run on this (tree, AO, EO).
-        self._parent_list = ws.parent_list
-        self._release_list = ws.release_list
-        self._req_ao = ws.request_ao
-        self._req_ao_list = ws.request_ao_list
-        self._ao_seq_list = ws.ao_sequence_list
-        self._eo_rank_list = ws.eo_rank_list
-        # Ready tasks (activated + all children finished), keyed by EO rank:
-        # a plain (rank, node) heap the engine pops directly (fast path).
-        self.ready_heap = []
+        self.tol = 1e-9 * max(1.0, limit)
+        self.threshold = limit + self.tol
+        self.booked = 0.0
+        self.peak = 0.0
+        #: Position of the next node of AO to try to activate.
+        self.next = 0
+        #: Memory-slack collapse flag: True once an activation attempt was
+        #: stopped by the budget (the run is "memory-bound").
+        self.memory_bound = False
+        #: Blocked-replay certificate: the minimum over every memory-bound
+        #: stop of the budget (``booked + next request``) that stop would
+        #: have needed to proceed (``inf`` while never bound).
+        self.bound_need = math.inf
+        #: Ready tasks (activated + all children finished) as a plain
+        #: ``(EO rank, node)`` heap the event loop pops.
+        self.ready: list[tuple[int, int]] = []
+        #: Unactivated tasks whose children have all finished: what a run
+        #: with a larger budget *could* have made ready right now.  Leaves
+        #: qualify from the start; completions add nodes (the not-activated
+        #: branch of ``on_finished``), activation removes them (the event
+        #: loop counts the ready-pushes of each ``activate`` call).
+        self.orphans = len(workspace.leaves_list)
+        self.activated = bytearray(workspace.n)
+        self.ch_not_fin = workspace.num_children_list.copy()
 
     @hot_kernel
-    def _activate(self) -> None:
-        pos = self._next_activation
-        total = self._total
-        if pos >= total:
-            return
-        booked = self._booked
-        threshold = self._threshold
-        req_list = self._req_ao_list
-        # Scalar fast path: the first candidate not fitting is by far the
-        # common case mid-run; don't pay a function call to find that out.
-        if booked + req_list[pos] > threshold:
-            return
-        pos, booked, peak = run_activation_scan(
-            pos,
-            total,
-            booked,
-            self._peak_booked,
-            threshold,
-            req_list,
-            self._req_ao,
-            self._ao_seq_list,
-            self._activated,
-            self._ch_not_fin,
-            self._eo_rank_list,
-            self.ready_heap,
-        )
-        self._next_activation = pos
-        self._booked = booked
-        self._peak_booked = peak
+    def bind(self):
+        """``(activate, on_started, on_finished)``: the run's transitions.
 
-    @hot_kernel
-    def _on_tasks_finished(self, nodes: Sequence[int]) -> None:
-        # Free the execution data of each completed node and the inputs it
-        # consumed (the outputs of its children, booked when the children
-        # were activated).  The node's own output stays booked for the
-        # parent.  Releases clamp at zero per node, exactly like the ledger.
-        booked = self._booked
-        neg_tol = -self._tol
-        release = self._release_list
-        parent = self._parent_list
-        ch_not_fin = self._ch_not_fin
-        activated = self._activated
-        eo_rank = self._eo_rank_list
-        ready = self.ready_heap
-        for node in nodes:
-            booked -= release[node]
-            if booked < 0.0:
-                if booked < neg_tol:
-                    raise RuntimeError(
-                        f"released more memory than was booked (booked={booked:.6g})"
-                    )
-                booked = 0.0
-            p = parent[node]
-            if p >= 0:
-                ch_not_fin[p] -= 1
-                if ch_not_fin[p] == 0 and activated[p]:
-                    heappush(ready, (eo_rank[p], p))
-        self._booked = booked
+        Everything a transition reads is bound as a parameter default; the
+        closures write the ledger scalars back to the kernel, which does
+        not hold them in turn (no reference cycle keeps a finished run's
+        planes alive).
+        """
+        ws = self.workspace
 
-    def _on_task_finished(self, node: int) -> None:
-        self._on_tasks_finished((node,))
+        def activate(
+            kernel=self,
+            n=ws.n,
+            threshold=self.threshold,
+            req_list=ws.request_ao_list,
+            req_ao=ws.request_ao,
+            ao_seq=ws.ao_sequence_list,
+            activated=self.activated,
+            ch_not_fin=self.ch_not_fin,
+            eo_rank=ws.eo_rank_list,
+            ready=self.ready,
+            scan=run_activation_scan,
+        ):
+            pos = kernel.next
+            if pos >= n:
+                return
+            booked = kernel.booked
+            # The first candidate not fitting is by far the common case
+            # mid-run; don't pay a call to the scan to find that out.
+            need = booked + req_list[pos]
+            if need > threshold:
+                kernel.memory_bound = True
+                if need < kernel.bound_need:
+                    kernel.bound_need = need
+                return
+            pos, booked, kernel.peak = scan(
+                pos, n, booked, kernel.peak, threshold, req_list, req_ao,
+                ao_seq, activated, ch_not_fin, eo_rank, ready,
+            )
+            if pos < n:
+                kernel.memory_bound = True  # the scan stopped on the budget
+                need = booked + req_list[pos]
+                if need < kernel.bound_need:
+                    kernel.bound_need = need
+            kernel.next = pos
+            kernel.booked = booked
 
-    def _extra_results(self) -> dict[str, Any]:
+        def on_finished(
+            nodes,
+            kernel=self,
+            release=ws.release_list,
+            neg_tol=-self.tol,
+            parent=ws.parent_list,
+            activated=self.activated,
+            ch_not_fin=self.ch_not_fin,
+            eo_rank=ws.eo_rank_list,
+            ready=self.ready,
+        ):
+            # Free the execution data of each completed node and the inputs
+            # it consumed (the outputs of its children, booked when the
+            # children were activated).  The node's own output stays booked
+            # for the parent.  Releases clamp at zero per node, exactly like
+            # the ledger.
+            booked = kernel.booked
+            for node in nodes:
+                booked -= release[node]
+                if booked < 0.0:
+                    if booked < neg_tol:
+                        raise RuntimeError(
+                            f"released more memory than was booked (booked={booked:.6g})"
+                        )
+                    booked = 0.0
+                p = parent[node]
+                if p >= 0:
+                    ch_not_fin[p] -= 1
+                    if ch_not_fin[p] == 0:
+                        if activated[p]:
+                            heappush(ready, (eo_rank[p], p))
+                        else:
+                            kernel.orphans += 1
+            kernel.booked = booked
+
+        # Nothing to mark when a task starts.
+        return activate, None, on_finished
+
+    def extras(self) -> dict[str, Any]:
+        return {"peak_booked_memory": self.peak, "activated": self.next}
+
+    def invariant_state(self) -> dict[str, Any]:
         return {
-            "peak_booked_memory": self._peak_booked,
-            "activated": self._next_activation,
+            "booked": self.booked,
+            "limit": self.limit,
+            "activated_prefix": self.next,
         }
 
-    def _invariant_state(self) -> dict[str, Any]:
-        return {
-            "booked": self._booked,
-            "limit": self._limit,
-            "activated_prefix": self._next_activation,
-        }
+
+class ActivationScheduler(EventDrivenScheduler):
+    """Algorithm 1 of the paper (the baseline activation policy)."""
+
+    name = "Activation"
+    kernel = ActivationKernel

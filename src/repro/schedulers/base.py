@@ -5,8 +5,8 @@ subclass whose :meth:`Scheduler.schedule` method simulates the parallel
 execution of a task tree on ``p`` processors sharing ``memory_limit`` bytes
 and returns a :class:`ScheduleResult` describing the outcome — start/finish
 times, processor assignment, makespan, actual peak memory and the wall-clock
-time spent taking scheduling decisions (the quantity plotted in Figures 5, 6
-and 13 of the paper).
+time of the simulation (the quantity plotted in Figures 5, 6 and 13 of the
+paper).
 
 A heuristic that cannot make progress under the given memory bound (which
 does happen for ``MemBookingRedTree`` under tight memory, Section 7.4) does
@@ -59,14 +59,13 @@ class ReadyQueue:
     distinct nodes, and a re-added node is indistinguishable from its stale
     entry — schedules stay exactly reproducible.
 
-    ``pop`` and ``peek`` return ``None`` on an empty queue, matching the
-    engine's ``_pop_ready_task`` contract.
+    ``pop`` and ``peek`` return ``None`` on an empty queue.  The frozen
+    engine of :mod:`repro.schedulers.reference` pops its ready tasks through
+    it; the kernels of the live engine keep the same ``(rank, node)`` pairs
+    in a plain heap that the event loop pops directly.
 
     ``rank`` may be a NumPy rank array or a plain Python list of ranks; the
-    queue indexes it on every ``add``, so hot callers (the array kernels)
-    pass the precomputed rank *list* of their
-    :class:`~repro.schedulers.engine.SimWorkspace` — CPython list indexing
-    avoids the NumPy scalar-extraction overhead on the per-task hot path.
+    queue indexes it on every ``add``.
     """
 
     __slots__ = ("_heap", "_live", "_rank")
@@ -163,9 +162,8 @@ class ScheduleResult:
         plus execution data of running tasks), *not* the heuristic's internal
         booked memory.  This is the quantity reported in Figures 4 and 12.
     scheduling_seconds:
-        Wall-clock time spent inside the heuristic's decision code
-        (activation, booking, task selection), excluding the order
-        pre-computation, as in the paper's timing figures.
+        Wall-clock time of the simulation call (kernel set-up and event
+        loop, C or Python), excluding the order pre-computation.
     num_events:
         Number of simulation events processed (task completions + start).
     activation_order, execution_order:

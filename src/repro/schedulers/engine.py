@@ -1,4 +1,4 @@
-"""Array-native event-driven simulation engine for the dynamic heuristics.
+"""Event-driven simulation engine for the dynamic heuristics.
 
 All three heuristics of the paper (Activation, MemBookingRedTree and
 MemBooking) follow the same outer loop (Algorithms 1 and 2): wait for an
@@ -6,83 +6,94 @@ event (``t = 0`` or a task completion), update the heuristic's bookkeeping,
 activate new tasks if memory allows, then greedily assign activated & ready
 tasks to idle processors following the execution order ``EO``.
 
-:class:`EventDrivenScheduler` implements that outer loop once.  Since the
-array-engine rewrite the hot path is organised around **flat per-node state**
-rather than per-node Python objects:
+That loop exists once in Python, :func:`simulate_kernel`, and once in C,
+:func:`repro.native.simulate`.  Both return a
+:class:`~repro.native.NativeOutcome` with identical values, which
+:func:`result_from_outcome` turns into a :class:`ScheduleResult`.  The loop
+works on flat state:
 
-* the event queue holds primitive ``(finish_time, node)`` pairs (ties break
-  by node index, exactly as the historical ``(time, node, proc)`` entries
-  did — node indices are unique); the processor of a completing task is read
-  from a flat per-node list;
-* per-task results (start/finish times, processor assignment) accumulate in
-  plain Python lists and are materialised as NumPy arrays once, at the end
-  of the run;
-* all completions at one instant are handed to the heuristic as **one
-  batch** (:meth:`EventDrivenScheduler._on_tasks_finished`; the default
-  implementation loops over the historical per-node
-  :meth:`~EventDrivenScheduler._on_task_finished` hook, so subclasses keep
-  working unchanged);
-* decision-time measurement is **batched per event instant**: a single
-  ``perf_counter`` pair brackets the completion hooks, the activation scan
-  and the dispatch decisions of one instant, instead of two timer calls per
-  hook invocation.  On large sweeps the historical per-hook pairs spent a
-  measurable share of the "scheduling time" of Figures 5, 6 and 13 inside
-  ``perf_counter`` itself;
-* the static per-tree planes every run re-derived (children CSR, AO/EO
-  ranks, activation requests along the AO, per-node release volumes) are
-  computed once per (tree, AO, EO) in a :class:`SimWorkspace` and shared by
-  every run on that tree — the experiment harness builds one per
-  :class:`~repro.experiments.runner.InstanceContext`, so the 60+ simulations
-  a sweep runs on one tree pay for the conversion exactly once.
+* the event queue holds primitive ``(finish_time, node)`` pairs, so ties at
+  one instant break by node index; all completions of an instant reach the
+  heuristic as one batch, in ascending node order;
+* the free-processor stack hands out processor 0 first;
+* per-task results accumulate in plain lists and become arrays once, at
+  the end of the run;
+* the static per-tree planes (children CSR, AO/EO ranks, activation
+  requests along the AO, per-node release volumes) are computed once per
+  (tree, AO, EO) in a :class:`SimWorkspace` and shared by every run on that
+  tree; the experiment harness builds one per
+  :class:`~repro.experiments.runner.InstanceContext`.
 
-The heuristic-specific parts remain four hooks:
+A heuristic is a **kernel** class.  A kernel object holds the state of one
+run: it is built per call and dropped when the call returns, so a scheduler
+object keeps no per-run state.  A kernel class provides
 
-``_setup()``
-    initialise the bookkeeping (called once, before the ``t = 0`` event);
-``_on_tasks_finished(nodes)`` / ``_on_task_finished(node)``
-    tasks just completed: release / re-dispatch their memory;
-``_activate()``
-    activate candidate tasks while memory allows (``UpdateCAND-ACT`` /
-    the activation loop of Algorithm 1);
-``_pop_ready_task()``
-    return the highest-EO-priority task that is activated and whose children
-    have all completed, or ``None`` when no such task exists.  Heuristics
-    that keep their ready pool in a :class:`~repro.schedulers.base.ReadyQueue`
-    simply assign it to :attr:`EventDrivenScheduler.ready_queue` during
-    ``_setup()`` and inherit the default implementation; the engine also uses
-    the queue's O(1) emptiness check to skip idle pops entirely.
+``Kernel(workspace, memory_limit)``
+    the state of one run;
+``bind()``
+    the transitions ``(activate, on_started, on_finished)``, closures over
+    that state: ``activate()`` activates candidates while memory allows and
+    pushes the ``(EO rank, node)`` pair of every task that became ready onto
+    ``kernel.ready``, a plain heap the loop pops; ``on_started(node)`` marks
+    a dispatched task (``None`` when a heuristic has nothing to mark);
+    ``on_finished(nodes)`` releases or re-dispatches the memory of the tasks
+    completing at one instant;
+``extras()`` / ``invariant_state()``
+    the diagnostics of ``ScheduleResult.extras``, and the snapshot handed to
+    ``invariant_hook`` after every event instant;
+``ready``, ``orphans``, ``memory_bound``, ``bound_need``
+    the ready heap and the collapse diagnostics the lane engine reads.
 
-Schedule results are **bit-identical** to the pre-array engine preserved in
-:mod:`repro.schedulers.reference` (event order, tie-breaking, deadlock
-semantics and floating-point bookkeeping — pinned by
-``tests/test_array_engine_parity.py``); only the wall-clock
-``scheduling_seconds`` measurements differ.
+A kernel the lane engine of :mod:`repro.batch.lanes` runs also has a static
+``template(workspace)``, the state every run on a workspace starts from,
+built once per tree and passed as the constructor's third argument.
 
-Deadlock handling: if at some event no task is running and the hooks cannot
-produce a ready task while unprocessed tasks remain, the heuristic cannot
-complete the tree under this memory bound.  The engine then returns a result
-with ``completed=False`` instead of raising, because "this instance cannot be
-scheduled" is a legitimate experimental outcome (Section 7.4 reports exactly
-that for MemBookingRedTree).
+:class:`EventDrivenScheduler` names its kernel class in ``kernel``.  A run
+takes the C stepper when the native plane is on, no invariant hook is
+passed and the kernel class itself declares ``native_kernel``, the name of
+its C twin (:func:`native_twin`).  A subclass of a kernel inherits the
+attribute but not the twin, so changed transitions always run in Python.
+
+``scheduling_seconds`` is the wall-clock of the one simulation call, kernel
+set-up included, on both planes.  Schedules are **bit-identical** to the
+pre-array engine preserved in :mod:`repro.schedulers.reference` (event
+order, tie-breaking, deadlock semantics and floating-point bookkeeping,
+pinned by ``tests/test_array_engine_parity.py``).
+
+Deadlock handling: if at some event no task is running and the kernel
+cannot produce a ready task while unprocessed tasks remain, the heuristic
+cannot complete the tree under this memory bound.  The loop then returns
+with ``completed=False`` instead of raising, because "this instance cannot
+be scheduled" is a legitimate experimental outcome (Section 7.4 reports
+exactly that for MemBookingRedTree).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
-from typing import Any, Callable, Mapping, Sequence
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
 from ..analysis.registry import hot_kernel
 from ..core.task_tree import NO_PARENT, TaskTree
 from ..orders import Ordering
-from .base import UNSCHEDULED, ReadyQueue, ScheduleResult, Scheduler
+from .base import UNSCHEDULED, ScheduleResult, Scheduler
 from .validation import memory_profile  # noqa: F401  (tracers patch it by module)
 from .validation import resident_peak
 
-__all__ = ["EventDrivenScheduler", "SimWorkspace"]
+if TYPE_CHECKING:
+    from ..native import NativeOutcome
+
+__all__ = [
+    "EventDrivenScheduler",
+    "SimWorkspace",
+    "native_twin",
+    "result_from_outcome",
+    "simulate_kernel",
+]
 
 
 class SimWorkspace:
@@ -107,7 +118,7 @@ class SimWorkspace:
       (``nexec + sum of children fout``).
 
     Workspaces are plain value objects: building one is O(n), holds no
-    mutable simulation state (per-run state lives in the scheduler), and is
+    mutable simulation state (per-run state lives in a kernel), and is
     only ever *read* by runs.  The engine validates that a workspace matches
     the (tree, AO, EO) of the run and silently builds a fresh one otherwise,
     so passing a stale workspace cannot corrupt a schedule.  All node arrays
@@ -285,20 +296,158 @@ class SimWorkspace:
         return ws
 
 
+def native_twin(kernel_cls: type) -> str | None:
+    """Name of the C twin of ``kernel_cls`` in :mod:`repro.native`, or ``None``.
+
+    Only a class that declares ``native_kernel`` itself has one: a subclass
+    inherits the attribute, but may change a transition the compiled
+    stepper cannot see, so it always runs in Python.
+    """
+    return vars(kernel_cls).get("native_kernel")
+
+
+@hot_kernel(note="the event loop (Algorithm 2 skeleton)")
+def simulate_kernel(
+    kernel,
+    num_processors: int,
+    starve_init: int | None = None,
+    invariant_hook: Callable[[Mapping[str, Any]], None] | None = None,
+) -> "NativeOutcome":
+    """Run one kernel to completion: the Python twin of :func:`repro.native.simulate`.
+
+    Besides the schedule it returns the collapse diagnostics of
+    :mod:`repro.batch.lanes`: ``peak_running`` (the largest concurrency),
+    ``blocked`` (a ready task once waited for a processor) and
+    ``starve_min``, the smallest concurrency at an instant where the ready
+    pool drained while an orphan existed (``starve_init`` if none did,
+    ``n + p + 1`` by default).  ``invariant_hook`` receives
+    ``kernel.invariant_state()`` once per event instant, after dispatch.
+    """
+    from ..native.api import NativeOutcome  # layering: native loads lazily
+
+    n = kernel.workspace.n
+    ptime = kernel.workspace.ptime_list
+    activate, on_started, on_finished = kernel.bind()
+    ready = kernel.ready
+    start = [math.nan] * n
+    finish = [math.nan] * n
+    processor = [UNSCHEDULED] * n
+    free = list(range(num_processors - 1, -1, -1))  # pop() gives proc 0 first
+    events: list[tuple[float, int]] = []
+    finished_now: list[int] = []
+    clock = 0.0
+    finished = 0
+    num_events = 1  # the t = 0 instant
+    peak_running = 0
+    blocked = False
+    starve_min = n + num_processors + 1 if starve_init is None else starve_init
+    failure: str | None = None
+    while True:
+        pool = len(ready)
+        activate()
+        # Ready-pushes of an activate call are exactly the activations of
+        # nodes whose children were already done — i.e. consumed orphans.
+        kernel.orphans -= len(ready) - pool
+        # Dispatch: activated & available tasks to idle processors (EO order).
+        if ready:
+            if free:
+                while free and ready:
+                    node = heappop(ready)[1]
+                    if on_started is not None:
+                        on_started(node)
+                    proc = free.pop()
+                    start[node] = clock
+                    f = clock + ptime[node]
+                    finish[node] = f
+                    processor[node] = proc
+                    heappush(events, (f, node))
+                running = len(events)
+                if running > peak_running:
+                    peak_running = running
+                if ready:
+                    if not free:
+                        blocked = True
+                elif kernel.orphans > 0 and running < starve_min:
+                    starve_min = running
+            else:
+                blocked = True
+        elif kernel.orphans > 0 and len(events) < starve_min:
+            starve_min = len(events)
+        if invariant_hook is not None:
+            invariant_hook(kernel.invariant_state())
+        if not events:
+            if finished < n:
+                failure = (
+                    f"deadlock at t={clock:.6g}: {n - finished} tasks remain but "
+                    "none is activated and available under the memory bound"
+                    if finished
+                    else "no task can be started at t=0: the memory bound is too "
+                    "small for the first activations"
+                )
+            break
+        clock = events[0][0]
+        finished_now.clear()
+        while events and events[0][0] == clock:
+            finished_now.append(heappop(events)[1])
+        finished += len(finished_now)
+        num_events += len(finished_now)
+        for node in finished_now:
+            free.append(processor[node])
+        on_finished(finished_now)
+    return NativeOutcome(
+        start=np.asarray(start, dtype=np.float64),
+        finish=np.asarray(finish, dtype=np.float64),
+        processor=np.asarray(processor, dtype=np.int64),
+        clock=clock,
+        finished=finished,
+        num_events=num_events,
+        failure=failure,
+        extras=kernel.extras(),
+        peak_running=peak_running,
+        blocked=blocked,
+        memory_bound=kernel.memory_bound,
+        starve_min=starve_min,
+        bound_need=kernel.bound_need,
+    )
+
+
+def result_from_outcome(
+    name: str,
+    outcome: "NativeOutcome",
+    num_processors: int,
+    memory_limit: float,
+    ao: Ordering,
+    eo: Ordering,
+    seconds: float,
+) -> ScheduleResult:
+    """The :class:`ScheduleResult` of one simulated call, ``peak_memory`` left ``nan``."""
+    n = outcome.start.size
+    completed = outcome.finished == n
+    return ScheduleResult(
+        scheduler=name,
+        tree_size=n,
+        num_processors=num_processors,
+        memory_limit=memory_limit,
+        completed=completed,
+        makespan=outcome.clock if completed else math.inf,
+        start_times=outcome.start,
+        finish_times=outcome.finish,
+        processor=outcome.processor,
+        peak_memory=math.nan,
+        scheduling_seconds=seconds,
+        num_events=outcome.num_events,
+        activation_order=ao.name,
+        execution_order=eo.name,
+        failure_reason=outcome.failure,
+        extras=dict(outcome.extras),
+    )
+
+
 class EventDrivenScheduler(Scheduler):
-    """Template-method implementation of the paper's dynamic schedulers."""
+    """A dynamic heuristic of the paper: its kernel class, driven by the event loop."""
 
-    #: EO-rank-keyed pool of tasks that may start right now.  Subclasses set
-    #: it in ``_setup()``; the engine uses its O(1) emptiness test to avoid
-    #: idle pops, and the default ``_pop_ready_task`` pops from it.
-    ready_queue: ReadyQueue | None = None
-
-    #: Name of this heuristic's compiled twin in :mod:`repro.native`
-    #: (``"activation"`` / ``"membooking"``), or ``None`` when the scalar
-    #: Python kernels are the only implementation.  The native stepper is
-    #: bit-identical by contract (pinned by the three-way fuzz), so classes
-    #: that set it never see a behavioural difference — only speed.
-    native_kernel: str | None = None
+    #: The heuristic's kernel class (see the module docstring).
+    kernel: type
 
     #: Per-scheduler native override: ``True`` requires the compiled
     #: kernels (raise if unavailable), ``False`` forces pure Python,
@@ -306,32 +455,6 @@ class EventDrivenScheduler(Scheduler):
     #: sweep runner copies ``SweepConfig.native`` here; the CLI sets it
     #: from ``--native`` / ``--no-native``.
     native: bool | None = None
-
-    #: The per-event hooks the compiled stepper replaces wholesale.  The
-    #: C twin cannot call back into Python per event, so a subclass that
-    #: overrides any of them (relative to the class that declared its
-    #: ``native_kernel``) opts out of the native fast path automatically
-    #: and runs through the Python kernels — overridden behaviour is never
-    #: silently bypassed.  A subclass that re-declares ``native_kernel``
-    #: itself re-asserts the contract for its own hook set.
-    _NATIVE_REPLACED_HOOKS: tuple[str, ...] = (
-        "_setup",
-        "_activate",
-        "_pop_ready_task",
-        "_on_task_started",
-        "_on_task_finished",
-        "_on_tasks_finished",
-    )
-
-    #: Fast-path ready pool: a plain ``heapq`` list of ``(EO rank, node)``
-    #: pairs.  An array kernel that never removes arbitrary entries assigns
-    #: ``self.ready_heap = []`` in ``_setup()`` (instead of a
-    #: :class:`~repro.schedulers.base.ReadyQueue`) and pushes pairs
-    #: directly; the engine then pops the heap itself — no wrapper calls, no
-    #: liveness set.  Ranks are permutations, so extraction order is
-    #: identical to the queue's.  When set, it takes precedence over
-    #: :attr:`ready_queue` and the ``_pop_ready_task`` hook.
-    ready_heap: list[tuple[int, int]] | None = None
 
     #: Whether a run fills ``peak_memory`` with the resident peak of its
     #: schedule (left ``nan`` otherwise).  The sweep runner's ``run_single``
@@ -341,83 +464,9 @@ class EventDrivenScheduler(Scheduler):
     #: default and gets a filled peak.
     peak_on_run: bool = True
 
-    # ------------------------------------------------------------------ #
-    # hooks to be provided by subclasses
-    # ------------------------------------------------------------------ #
-    def _setup(self) -> None:  # pragma: no cover - abstract hook
-        raise NotImplementedError
-
-    def _on_task_finished(self, node: int) -> None:  # pragma: no cover - abstract hook
-        raise NotImplementedError
-
-    def _on_tasks_finished(self, nodes: Sequence[int]) -> None:
-        """Batch hook: every task completing at the current instant.
-
-        The engine always delivers completions through this hook, one call
-        per event instant, in ascending node order (the historical per-node
-        delivery order).  The default forwards to ``_on_task_finished`` so
-        per-node subclasses keep working; array kernels override the batch
-        directly.
-        """
-        on_finished = self._on_task_finished
-        for node in nodes:
-            on_finished(node)
-
-    def _activate(self) -> None:  # pragma: no cover - abstract hook
-        raise NotImplementedError
-
-    def _pop_ready_task(self) -> int | None:
-        """Pop the best ready task from :attr:`ready_queue` (default hook)."""
-        queue = self.ready_queue
-        if queue is None:
-            # Fail loud, as the abstract hook did before the default existed:
-            # a subclass must either register a queue or override this hook.
-            raise NotImplementedError(
-                f"{type(self).__name__}._setup() must assign self.ready_queue "
-                "or the class must override _pop_ready_task()"
-            )
-        return queue.pop()
-
-    def _on_task_started(self, node: int) -> None:
-        """Optional hook called when a task is placed on a processor."""
-
-    def _extra_results(self) -> dict[str, Any]:
-        """Optional per-heuristic diagnostics merged into ``ScheduleResult.extras``."""
-        return {}
-
-    def _invariant_state(self) -> dict[str, Any]:
-        """State snapshot passed to the invariant hook after every event."""
-        return {}
-
-    # ------------------------------------------------------------------ #
-    # engine state (initialised in _run, available to the hooks)
-    # ------------------------------------------------------------------ #
-    tree: TaskTree
-    num_processors: int
-    memory_limit: float
-    ao: Ordering
-    eo: Ordering
-    #: Static planes of the current run (set by the engine before ``_setup``).
-    workspace: SimWorkspace | None = None
-
-    def _reset_engine_state(self) -> None:
-        """Drop the per-run engine references once a simulation is over.
-
-        Scheduler objects are routinely reused across instances (the sweep
-        runner builds one per record, but the CLI, the ablations and user
-        code call ``schedule`` repeatedly on one object).  Every run fully
-        re-initialises its bookkeeping in ``_setup``, so reuse was already
-        *correct*; clearing the references also stops a finished scheduler
-        from keeping the last tree, its orders and the ready queue alive —
-        which matters because the experiment harness memoises per-tree data
-        behind weak references and relies on trees being collectable.
-        """
-        self.tree = None  # type: ignore[assignment]
-        self.ao = None  # type: ignore[assignment]
-        self.eo = None  # type: ignore[assignment]
-        self.ready_queue = None
-        self.ready_heap = None
-        self.workspace = None
+    def _new_kernel(self, workspace: SimWorkspace, memory_limit: float):
+        """The state of one Python run (MemBooking adds its dispatch variant)."""
+        return self.kernel(workspace, memory_limit)
 
     def _run(
         self,
@@ -454,293 +503,39 @@ class EventDrivenScheduler(Scheduler):
         invariant_hook: Callable[[Mapping[str, Any]], None] | None = None,
         workspace: SimWorkspace | None = None,
     ) -> ScheduleResult:
-        """One simulation, native or Python, with ``peak_memory`` left ``nan``."""
-        try:
-            # Native fast path: the compiled stepper cannot call back into
-            # Python per event, so it only replaces runs that need no
-            # invariant hook and whose engine hooks are the stock ones;
-            # everything else (and AUTO mode without a compiler) falls
-            # through to the Python kernels.
-            result = None
-            if invariant_hook is None and self._native_hooks_intact():
-                result = self._run_native(
-                    tree, num_processors, memory_limit, ao, eo, workspace=workspace
-                )
-            if result is None:
-                result = self._run_simulation(
-                    tree,
-                    num_processors,
-                    memory_limit,
-                    ao,
-                    eo,
-                    invariant_hook=invariant_hook,
-                    workspace=workspace,
-                )
-            return result
-        finally:
-            # Clear the per-run references even when a hook raises, so a
-            # long-lived scheduler object never pins the last tree.
-            self._reset_engine_state()
+        """One simulation, C or Python, with ``peak_memory`` left ``nan``.
 
-    def _native_hooks_intact(self) -> bool:
-        """True when this instance may take the compiled fast path.
-
-        The native kernel is keyed to the class that declared
-        ``native_kernel``: every hook in :attr:`_NATIVE_REPLACED_HOOKS`
-        must still be the implementation that class sees, otherwise a
-        subclass's customised hook (extra bookkeeping, instrumentation,
-        deliberate faults in tests) would be silently skipped per event.
+        The compiled stepper cannot call back into Python, so it runs only
+        without an invariant hook and for a kernel with a C twin; every
+        other run, and AUTO mode without a compiler, goes through
+        :func:`simulate_kernel`.  ``native=True`` without a compiler raises
+        :class:`repro.native.NativeUnavailableError`.
         """
-        cls = type(self)
-        for owner in cls.__mro__:
-            if "native_kernel" in vars(owner):
-                break
-        else:  # pragma: no cover - the engine base declares the default
-            return False
-        if owner.native_kernel is None:
-            return False
-        for name in self._NATIVE_REPLACED_HOOKS:
-            if getattr(cls, name, None) is not getattr(owner, name, None):
-                return False
-        return True
+        from .. import native as native_mod  # layering: native loads lazily
 
-    def _run_native(
-        self,
-        tree: TaskTree,
-        num_processors: int,
-        memory_limit: float,
-        ao: Ordering,
-        eo: Ordering,
-        *,
-        workspace: SimWorkspace | None = None,
-    ) -> ScheduleResult | None:
-        """Run the whole simulation through the compiled C stepper.
-
-        Returns ``None`` when native kernels are off or unavailable (the
-        caller falls back to :meth:`_run_simulation`); raises
-        :class:`repro.native.NativeUnavailableError` when they were
-        explicitly required.  The returned schedule is byte-identical to
-        the Python kernels' — same arrays, same extras, same failure
-        strings — with only ``scheduling_seconds`` free to differ.
-        """
-        from .. import native as native_mod
-
-        kernels = native_mod.native_kernels(self.native)
+        if workspace is None or not workspace.matches(tree, ao, eo):
+            workspace = SimWorkspace(tree, ao, eo)
+        twin = None if invariant_hook is not None else native_twin(self.kernel)
+        kernels = None if twin is None else native_mod.native_kernels(self.native)
         if kernels is None:
-            return None
-        if workspace is None or not workspace.matches(tree, ao, eo):
-            workspace = SimWorkspace(tree, ao, eo)
-        self.workspace = workspace
-        planes = workspace.native_planes()
-        tic = time.perf_counter()
-        outcome = native_mod.simulate(
-            kernels,
-            self.native_kernel,  # type: ignore[arg-type]  # guarded by caller
-            planes,
-            num_processors,
-            memory_limit,
-            dispatch_to_candidates=getattr(self, "dispatch_to_candidates", True),
-        )
-        seconds = time.perf_counter() - tic
-        n = tree.n
-        completed = outcome.finished == n
-        result = ScheduleResult(
-            scheduler=self.name,
-            tree_size=n,
-            num_processors=num_processors,
-            memory_limit=memory_limit,
-            completed=completed,
-            makespan=outcome.clock if completed else math.inf,
-            start_times=outcome.start,
-            finish_times=outcome.finish,
-            processor=outcome.processor,
-            peak_memory=math.nan,
-            scheduling_seconds=seconds,
-            num_events=outcome.num_events,
-            activation_order=ao.name,
-            execution_order=eo.name,
-            failure_reason=outcome.failure,
-            extras=outcome.extras,
-        )
-        return result
-
-    @hot_kernel(note="scalar event loop (Algorithm 2 skeleton)")
-    def _run_simulation(
-        self,
-        tree: TaskTree,
-        num_processors: int,
-        memory_limit: float,
-        ao: Ordering,
-        eo: Ordering,
-        *,
-        invariant_hook: Callable[[Mapping[str, Any]], None] | None = None,
-        workspace: SimWorkspace | None = None,
-    ) -> ScheduleResult:
-        self.tree = tree
-        self.num_processors = num_processors
-        self.memory_limit = memory_limit
-        self.ao = ao
-        self.eo = eo
-        if workspace is None or not workspace.matches(tree, ao, eo):
-            workspace = SimWorkspace(tree, ao, eo)
-        self.workspace = workspace
-
-        n = tree.n
-        nan = math.nan
-        # Flat per-task result state; materialised as arrays once, at the end.
-        start_times: list[float] = [nan] * n
-        finish_times: list[float] = [nan] * n
-        processor: list[int] = [UNSCHEDULED] * n
-        proc_of = processor  # completing tasks read their processor back here
-
-        free_processors = list(range(num_processors - 1, -1, -1))  # pop() gives proc 0 first
-        running = 0
-        finished_count = 0
-        clock = 0.0
-        num_events = 0
-        decision_seconds = 0.0
-        failure: str | None = None
-
-        # Completion events as primitive (finish_time, node) pairs: node
-        # indices are unique, so ties at one instant break by node index —
-        # the same order the historical (time, node, proc) entries produced.
-        event_queue: list[tuple[float, int]] = []
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        perf_counter = time.perf_counter  # hot loop: avoid attribute lookups
-        ptime = workspace.ptime_list
-
-        self.ready_queue = None  # reset any pool left over from a previous run
-        self.ready_heap = None
-        tic = perf_counter()
-        self._setup()
-        decision_seconds += perf_counter() - tic
-
-        # Hook resolution, once per run: skip the no-op start hook entirely
-        # when a subclass did not override it, and pop the fast-path ready
-        # heap directly when the kernel registered one.
-        cls = type(self)
-        on_started = (
-            None
-            if cls._on_task_started is EventDrivenScheduler._on_task_started
-            else self._on_task_started
-        )
-        on_finished_batch = self._on_tasks_finished
-        activate = self._activate
-        ready_heap = self.ready_heap
-
-        if ready_heap is not None:
-
-            # kernel-ok: closure (event-instant scalars via nonlocal)
-            def dispatch_ready() -> None:
-                """Assign activated & available tasks to idle processors (EO order).
-
-                Fast path: the kernel's ready pool is a plain (rank, node)
-                heap the engine pops itself.  Runs inside the caller's timed
-                region (one perf_counter pair per event instant).
-                """
-                nonlocal running
-                while free_processors and ready_heap:
-                    node = heappop(ready_heap)[1]
-                    if on_started is not None:
-                        on_started(node)
-                    proc = free_processors.pop()
-                    start_times[node] = clock
-                    finish = clock + ptime[node]
-                    finish_times[node] = finish
-                    proc_of[node] = proc
-                    running += 1
-                    heappush(event_queue, (finish, node))
-
-        else:
-
-            # kernel-ok: closure (event-instant scalars via nonlocal)
-            def dispatch_ready() -> None:
-                """Hook-based dispatch (ReadyQueue / ``_pop_ready_task``)."""
-                nonlocal running
-                ready = self.ready_queue
-                pop_ready = self._pop_ready_task
-                while free_processors:
-                    # When the heuristic exposes its ready pool and the pool
-                    # is empty there is no decision to take.
-                    if ready is not None and not ready:
-                        break
-                    node = pop_ready()
-                    if node is None:
-                        break
-                    if on_started is not None:
-                        on_started(node)
-                    proc = free_processors.pop()
-                    start_times[node] = clock
-                    finish = clock + ptime[node]
-                    finish_times[node] = finish
-                    proc_of[node] = proc
-                    running += 1
-                    heappush(event_queue, (finish, node))
-
-        # --- t = 0 event ---------------------------------------------------
-        tic = perf_counter()
-        activate()
-        dispatch_ready()
-        decision_seconds += perf_counter() - tic
-        num_events += 1
-        if invariant_hook is not None:
-            invariant_hook(self._invariant_state())
-
-        if running == 0 and finished_count < n:
-            failure = (
-                "no task can be started at t=0: the memory bound is too small "
-                "for the first activations"
+            tic = time.perf_counter()
+            outcome = simulate_kernel(
+                self._new_kernel(workspace, memory_limit),
+                num_processors,
+                invariant_hook=invariant_hook,
             )
-
-        # --- main loop ------------------------------------------------------
-        finished_now: list[int] = []
-        while failure is None and event_queue:
-            clock = event_queue[0][0]
-            # Process every completion at this instant before re-activating,
-            # as in Algorithm 2 ("foreach just finished node j").
-            finished_now.clear()
-            append_finished = finished_now.append
-            while event_queue and event_queue[0][0] == clock:
-                append_finished(heappop(event_queue)[1])
-            completed_now = len(finished_now)
-            running -= completed_now
-            finished_count += completed_now
-            num_events += completed_now
-            for node in finished_now:
-                free_processors.append(proc_of[node])
-            tic = perf_counter()
-            on_finished_batch(finished_now)
-            activate()
-            dispatch_ready()
-            decision_seconds += perf_counter() - tic
-            if invariant_hook is not None:
-                invariant_hook(self._invariant_state())
-            if running == 0 and finished_count < n:
-                failure = (
-                    f"deadlock at t={clock:.6g}: {n - finished_count} tasks remain but "
-                    "none is activated and available under the memory bound"
-                )
-
-        completed = finished_count == n
-        makespan = clock if completed else math.inf
-        result = ScheduleResult(
-            scheduler=self.name,
-            tree_size=n,
-            num_processors=num_processors,
-            memory_limit=memory_limit,
-            completed=completed,
-            makespan=makespan,
-            start_times=np.asarray(start_times, dtype=np.float64),
-            finish_times=np.asarray(finish_times, dtype=np.float64),
-            processor=np.asarray(processor, dtype=np.int64),
-            peak_memory=math.nan,
-            scheduling_seconds=decision_seconds,
-            num_events=num_events,
-            activation_order=ao.name,
-            execution_order=eo.name,
-            failure_reason=failure,
-            extras=self._extra_results(),
+        else:
+            planes = workspace.native_planes()
+            tic = time.perf_counter()
+            outcome = native_mod.simulate(
+                kernels,
+                twin,
+                planes,
+                num_processors,
+                memory_limit,
+                dispatch_to_candidates=getattr(self, "dispatch_to_candidates", True),
+            )
+        seconds = time.perf_counter() - tic
+        return result_from_outcome(
+            self.name, outcome, num_processors, memory_limit, ao, eo, seconds
         )
-        return result

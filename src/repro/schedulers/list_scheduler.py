@@ -11,35 +11,65 @@ checks (no memory-constrained heuristic can beat it).
 
 from __future__ import annotations
 
+import math
+from heapq import heapify, heappush
 from typing import Any
 
-from ..core.task_tree import NO_PARENT
-from .base import ReadyQueue
-from .engine import EventDrivenScheduler
+from ..analysis.registry import hot_kernel
+from .engine import EventDrivenScheduler, SimWorkspace
 
-__all__ = ["ListScheduler"]
+__all__ = ["ListKernel", "ListScheduler"]
+
+
+class ListKernel:
+    """One run's state: children counters and the ready heap.
+
+    Every task counts as activated from the start, so there is nothing to
+    activate, no orphan and no memory bound.
+    """
+
+    def __init__(self, workspace: SimWorkspace, memory_limit: float) -> None:
+        self.workspace = workspace
+        rank = workspace.eo_rank_list
+        self.ready = [(rank[leaf], leaf) for leaf in workspace.leaves_list]
+        heapify(self.ready)
+        self.orphans = 0
+        self.memory_bound = False
+        self.bound_need = math.inf
+        self.ch_not_fin = workspace.num_children_list.copy()
+
+    @hot_kernel
+    def bind(self):
+        """``(activate, on_started, on_finished)``: only completions do work."""
+
+        def activate():
+            return
+
+        def on_finished(
+            nodes,
+            parent=self.workspace.parent_list,
+            ch_not_fin=self.ch_not_fin,
+            eo_rank=self.workspace.eo_rank_list,
+            ready=self.ready,
+        ):
+            for node in nodes:
+                p = parent[node]
+                if p >= 0:
+                    ch_not_fin[p] -= 1
+                    if ch_not_fin[p] == 0:
+                        heappush(ready, (eo_rank[p], p))
+
+        return activate, None, on_finished
+
+    def extras(self) -> dict[str, Any]:
+        return {"memory_oblivious": True}
+
+    def invariant_state(self) -> dict[str, Any]:
+        return {}
 
 
 class ListScheduler(EventDrivenScheduler):
     """Priority list scheduling without any memory constraint."""
 
     name = "ListNoMemory"
-
-    def _setup(self) -> None:
-        tree = self.tree
-        self._children_not_finished = [tree.num_children(i) for i in range(tree.n)]
-        self.ready_queue = ReadyQueue(self.eo.rank, tree.leaves())
-
-    def _activate(self) -> None:
-        # Nothing to do: every task is implicitly activated.
-        return
-
-    def _on_task_finished(self, node: int) -> None:
-        parent = int(self.tree.parent[node])
-        if parent != NO_PARENT:
-            self._children_not_finished[parent] -= 1
-            if self._children_not_finished[parent] == 0:
-                self.ready_queue.add(parent)
-
-    def _extra_results(self) -> dict[str, Any]:
-        return {"memory_oblivious": True}
+    kernel = ListKernel

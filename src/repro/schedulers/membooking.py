@@ -22,7 +22,8 @@ Theorem 1: if the sequential execution of ``AO`` fits in ``M``, MemBooking
 processes the whole tree within ``M``, for any number of processors and any
 execution order ``EO``.
 
-Implementation: array-native.  All per-node bookkeeping lives in flat
+Implementation: a kernel class, driven by the event loop of
+:mod:`repro.schedulers.engine`.  All per-node bookkeeping lives in flat
 vectors indexed by node id (``Booked``/``BookedBySubtree`` planes, a state
 byte-vector, children counters); subtree sums walk the tree's CSR children
 plane and the ancestor dispatch walk reads flat parent/fout planes from the
@@ -33,20 +34,19 @@ tolerance, clamps) of the historical
 bit-identical to :class:`repro.schedulers.reference.ReferenceMemBookingScheduler`
 (asserted by the parity suite).
 
-Two classes are provided:
+Two kernels are provided, one per scheduler class:
 
-:class:`MemBookingScheduler`
+:class:`MemBookingKernel` (:class:`MemBookingScheduler`)
     the optimised version of Appendix B / Section 5.1 — ``CAND`` is a lazy
     heap over AO ranks (stale entries are recognised by the state vector),
     ``BookedBySubtree`` is initialised lazily, children counters
     (``ChNotAct``, ``ChNotFin``) provide O(1) state transitions — giving the
     ``O(n (H + log n))`` bound of Theorem 2;
-:class:`MemBookingReferenceScheduler`
-    a direct transcription of Algorithms 2–4 whose ``CAND`` structure is a
-    plain set scanned linearly (the ready pool shares the heap-based
-    ``ReadyQueue`` of the optimised version).  It performs exactly the same
-    bookings and produces exactly the same schedule; the test-suite uses it
-    to validate the optimised data structures.
+:class:`MemBookingReferenceKernel` (:class:`MemBookingReferenceScheduler`)
+    the same kernel with the literal ``CAND`` structure of Algorithms 2–4, a
+    plain set scanned linearly.  It performs exactly the same bookings and
+    produces exactly the same schedule; the test-suite uses it to validate
+    the optimised data structures.
 
 Note on Algorithm 3 vs Algorithm 6 arithmetic: the reference pseudo-code
 (Algorithm 3, line 5) adds ``f_j`` to ``BookedBySubtree[parent(j)]`` while
@@ -59,16 +59,18 @@ the property tests.
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Any, Sequence
 
 import numpy as np
 
 from ..analysis.registry import hot_kernel, plane_mutator
-from .base import ReadyQueue
-from .engine import EventDrivenScheduler
+from .engine import EventDrivenScheduler, SimWorkspace
 
 __all__ = [
+    "MemBookingKernel",
+    "MemBookingReferenceKernel",
     "MemBookingScheduler",
     "MemBookingReferenceScheduler",
     "dispatch_memory",
@@ -87,7 +89,7 @@ UN, CAND, ACT, RUN, FN = 0, 1, 2, 3, 4
 _UNSET = -1.0
 
 
-@hot_kernel(note="DispatchMemory (Alg. 3/6), shared scalar/lane")
+@hot_kernel(note="DispatchMemory (Alg. 3/6)")
 def dispatch_memory(
     j: int,
     booked: list[float],
@@ -103,11 +105,9 @@ def dispatch_memory(
 ) -> tuple[float, float]:
     """``DispatchMemory`` (Algorithm 3 / Algorithm 6 lines 4-17) as a pure function.
 
-    Shared by the scalar :class:`_MemBookingCore` and the batched lane kernel
-    of :mod:`repro.batch.lanes` so both run the exact same ALAP dispatch
-    arithmetic (fold order, tolerance, clamps).  ``booked`` / ``bbs`` /
-    ``state`` are mutated in place; the updated global ledger
-    ``(mbooked, peak)`` is returned.
+    The ALAP dispatch arithmetic (fold order, tolerance, clamps) of
+    :class:`MemBookingKernel`.  ``booked`` / ``bbs`` / ``state`` are mutated
+    in place; the updated global ledger ``(mbooked, peak)`` is returned.
     """
     amount = booked[j]
     booked[j] = 0.0
@@ -159,7 +159,7 @@ def dispatch_memory(
     return mbooked, peak
 
 
-@hot_kernel(note="UpdateCAND-ACT (Alg. 4/6), shared scalar/lane")
+@hot_kernel(note="UpdateCAND-ACT (Alg. 4/6)")
 def run_membooking_activation(
     peek_candidate,
     remove_candidate,
@@ -183,15 +183,14 @@ def run_membooking_activation(
 
     The candidate-structure specifics stay behind the four callables
     (``peek`` / ``remove`` / ``make_candidate`` / ``mark_available``), which
-    is how the optimised heap structure, the reference linear scan and the
-    batched lane kernel all drive one transition definition.  Returns the
+    is how the optimised heap structure and the reference linear scan drive
+    one transition definition.  Returns the
     updated ``(mbooked, peak, activations, blocked_need)``:
     ``activations`` counts the nodes moved into ACT by this call and
     ``blocked_need`` is ``0.0`` when every candidate fit, else the ledger
     level (``MBooked`` plus the missing booking) the blocking candidate
     would have required — truthy exactly when the loop stopped on the
-    budget.  The lane engine uses the pair to detect fully-activated and
-    never-memory-bound lanes and to certify blocked-replay clones.
+    budget, which the lane engine's collapse rules read.
     """
     activations = 0
     blocked_need = 0.0
@@ -242,10 +241,228 @@ def run_membooking_activation(
     return mbooked, peak, activations, blocked_need
 
 
-class _MemBookingCore(EventDrivenScheduler):
-    """Bookkeeping shared by the optimised and reference implementations."""
+def _noop_remove(node: int) -> None:
+    """Lazy candidate removal (the state flip invalidates the heap entry)."""
+
+
+class MemBookingKernel:
+    """One run's state of MemBooking (Section 4, optimised structures).
+
+    ``CAND`` is a plain AO-rank heap with lazy deletion: an entry whose node
+    is no longer in state CAND is stale and skipped when it surfaces (a node
+    enters CAND at most once, so stale entries can never shadow live ones).
+    Every transition :meth:`bind` returns goes through
+    :func:`dispatch_memory` / :func:`run_membooking_activation`.  The
+    collapse flags are those of
+    :class:`~repro.schedulers.activation.ActivationKernel`; ``bound_need``
+    is the ledger level (``MBooked`` plus the missing booking) a
+    budget-blocked candidate would have required.
+    """
 
     name = "MemBooking"
+    #: Compiled twin (repro.native): the full event loop with the lazy-heap
+    #: CAND structure, booking walks and ALAP dispatch.  The reference
+    #: kernel below stays pure Python on purpose — it is the oracle.
+    native_kernel = "membooking"
+
+    @staticmethod
+    @plane_mutator(note="builds the run-independent leaf candidate heap")
+    def template(workspace: SimWorkspace) -> tuple[bytearray, list[tuple[int, int]]]:
+        """State bytes and candidate heap after the leaf setup, which every
+        run on the workspace shares."""
+        state = bytearray(workspace.n)
+        cand: list[tuple[int, int]] = []
+        ao_rank = workspace.ao_rank_list
+        for leaf in workspace.leaves_list:
+            state[leaf] = CAND
+            heappush(cand, (ao_rank[leaf], leaf))
+        return state, cand
+
+    def __init__(
+        self,
+        workspace: SimWorkspace,
+        memory_limit: float,
+        template: Any = None,
+        *,
+        dispatch_to_candidates: bool = True,
+    ) -> None:
+        if template is None:
+            template = self.template(workspace)
+        n = workspace.n
+        self.workspace = workspace
+        limit = self.limit = float(memory_limit)
+        # Inlined MemoryLedger (MBooked): identical bound, tolerance, peak
+        # tracking and clamp-at-zero semantics, in local floats.
+        self.tol = 1e-9 * max(1.0, limit)
+        self.threshold = limit + self.tol
+        self.dispatch_to_candidates = dispatch_to_candidates
+        self.mbooked = 0.0
+        self.peak = 0.0
+        self.memory_bound = False
+        self.bound_need = math.inf
+        #: ACTf: a plain (EO rank, node) heap the event loop pops.
+        self.ready: list[tuple[int, int]] = []
+        #: Not-yet-ACT tasks with every child finished (see ActivationKernel).
+        self.orphans = len(workspace.leaves_list)
+        self.booked = [0.0] * n
+        self.bbs = [_UNSET] * n
+        self.state = bytearray(template[0])
+        self.cand = template[1].copy()
+        self.ch_not_act = workspace.num_children_list.copy()
+        self.ch_not_fin = workspace.num_children_list.copy()
+
+    @hot_kernel
+    def candidates(self):
+        """``(peek, remove, make)``: the operations of the CAND structure."""
+
+        def peek(heap=self.cand, state=self.state):
+            while heap:
+                node = heap[0][1]
+                if state[node] == CAND:
+                    return node
+                heappop(heap)  # stale entry of an already-activated node
+            return None
+
+        def make(node, heap=self.cand, state=self.state, rank=self.workspace.ao_rank_list):
+            state[node] = CAND
+            heappush(heap, (rank[node], node))
+
+        return peek, _noop_remove, make
+
+    @hot_kernel
+    def bind(self):
+        """``(activate, on_started, on_finished)`` (see ActivationKernel.bind)."""
+        ws = self.workspace
+        peek, remove, make = self.candidates()
+
+        def mark(node, ready=self.ready, rank=ws.eo_rank_list):
+            heappush(ready, (rank[node], node))
+
+        def activate(
+            kernel=self,
+            peek=peek,
+            remove=remove,
+            make=make,
+            mark=mark,
+            booked=self.booked,
+            bbs=self.bbs,
+            state=self.state,
+            parent=ws.parent_list,
+            mem_needed=ws.mem_needed_list,
+            offsets=ws.child_offsets,
+            child_nodes=ws.child_nodes,
+            ch_not_act=self.ch_not_act,
+            ch_not_fin=self.ch_not_fin,
+            threshold=self.threshold,
+            to_candidates=self.dispatch_to_candidates,
+            run=run_membooking_activation,
+        ):
+            kernel.mbooked, kernel.peak, _, bound = run(
+                peek, remove, make, mark, booked, bbs, state, parent,
+                mem_needed, offsets, child_nodes, ch_not_act, ch_not_fin,
+                kernel.mbooked, threshold, kernel.peak, to_candidates,
+            )
+            if bound:
+                kernel.memory_bound = True
+                if bound < kernel.bound_need:
+                    kernel.bound_need = bound
+
+        def on_started(node, state=self.state):
+            state[node] = RUN
+
+        def on_finished(
+            nodes,
+            kernel=self,
+            booked=self.booked,
+            bbs=self.bbs,
+            state=self.state,
+            parent=ws.parent_list,
+            fout=ws.fout_list,
+            mem_needed=ws.mem_needed_list,
+            tol=self.tol,
+            ch_not_fin=self.ch_not_fin,
+            eo_rank=ws.eo_rank_list,
+            ready=self.ready,
+            to_candidates=self.dispatch_to_candidates,
+            dispatch=dispatch_memory,
+        ):
+            for node in nodes:
+                state[node] = FN
+                kernel.mbooked, kernel.peak = dispatch(
+                    node, booked, bbs, state, parent, fout, mem_needed,
+                    kernel.mbooked, tol, kernel.peak, to_candidates,
+                )
+                p = parent[node]
+                if p >= 0:
+                    ch_not_fin[p] -= 1
+                    if ch_not_fin[p] == 0:
+                        if state[p] == ACT:
+                            heappush(ready, (eo_rank[p], p))
+                        else:
+                            kernel.orphans += 1
+
+        return activate, on_started, on_finished
+
+    def extras(self) -> dict[str, Any]:
+        return {"peak_booked_memory": self.peak}
+
+    def invariant_state(self) -> dict[str, Any]:
+        tree = self.workspace.tree
+        return {
+            "booked": np.asarray(self.booked, dtype=np.float64),
+            "booked_by_subtree": np.asarray(self.bbs, dtype=np.float64),
+            "state": np.frombuffer(bytes(self.state), dtype=np.int8),
+            "mbooked": self.mbooked,
+            "limit": self.limit,
+            "mem_needed": tree.mem_needed,
+            "tree": tree,
+        }
+
+
+class MemBookingReferenceKernel(MemBookingKernel):
+    """MemBooking with the literal ``CAND`` structure of Algorithms 2–4.
+
+    ``CAND`` is a plain Python set scanned linearly at every activation
+    attempt, as in the pseudo-code; everything else is
+    :class:`MemBookingKernel`'s.  Only the asymptotic cost of the candidate
+    scan differs, so both must produce exactly the same schedule.  Being a
+    subclass, it never runs on the C twin.
+    """
+
+    name = "MemBookingReference"
+
+    @staticmethod
+    @plane_mutator(note="naive reference CAND structure (set-based)")
+    def template(workspace: SimWorkspace) -> tuple[bytearray, set[int]]:
+        state = bytearray(workspace.n)
+        for leaf in workspace.leaves_list:
+            state[leaf] = CAND
+        return state, set(workspace.leaves_list)
+
+    @plane_mutator(note="naive reference CAND structure (set-based)")
+    def candidates(self):
+        def peek(cand=self.cand, rank=self.workspace.ao_rank_list):
+            if not cand:
+                return None
+            return min(cand, key=rank.__getitem__)
+
+        def make(node, cand=self.cand, state=self.state):
+            state[node] = CAND
+            cand.add(node)
+
+        return peek, self.cand.discard, make
+
+
+class MemBookingScheduler(EventDrivenScheduler):
+    """Optimised MemBooking (Appendix B): heap-based CAND / ACTf structures.
+
+    Scheduling cost is ``O(n (H + log n))`` in total (Theorem 2): every node
+    is pushed/popped at most once on each heap, dispatch walks are bounded by
+    the node depth, and all state transitions use O(1) counters.
+    """
+
+    name = "MemBooking"
+    kernel = MemBookingKernel
 
     #: When True, extend the dispatch walk to candidate ancestors whose
     #: ``BookedBySubtree`` has already been computed (the Section 5.1
@@ -258,225 +475,21 @@ class _MemBookingCore(EventDrivenScheduler):
         if dispatch_to_candidates is not None:
             self.dispatch_to_candidates = bool(dispatch_to_candidates)
 
-    # ------------------------------------------------------------------ #
-    # setup
-    # ------------------------------------------------------------------ #
-    def _setup(self) -> None:
-        ws = self.workspace
-        assert ws is not None  # the engine installs it before _setup
-        n = ws.n
-        limit = self.memory_limit
-        # Inlined MemoryLedger (MBooked): identical bound, tolerance, peak
-        # tracking and clamp-at-zero semantics, in local floats.
-        self._limit = limit
-        self._tol = 1e-9 * max(1.0, limit)
-        self._threshold = limit + self._tol
-        self._mbooked = 0.0
-        self._peak_booked = 0.0
-        # Flat per-node state planes.
-        self._booked: list[float] = [0.0] * n
-        self._bbs: list[float] = [_UNSET] * n
-        self._state = bytearray(n)  # UN everywhere
-        self._ch_not_act = ws.num_children_list.copy()
-        self._ch_not_fin = ws.num_children_list.copy()
-        # Static planes of the workspace (read-only).
-        self._parent_list = ws.parent_list
-        self._fout_list = ws.fout_list
-        self._mem_needed_list = ws.mem_needed_list
-        self._child_offsets = ws.child_offsets
-        self._child_nodes = ws.child_nodes
-        self._ao_rank_list = ws.ao_rank_list
-        self._setup_structures()
-        for leaf in ws.leaves_list:
-            self._make_candidate(leaf)
-
-    # Structure-specific hooks -------------------------------------------------
-    def _setup_structures(self) -> None:
-        raise NotImplementedError
-
-    def _make_candidate(self, node: int) -> None:
-        """Move ``node`` (currently UN or a fresh leaf) into CAND."""
-        raise NotImplementedError
-
-    def _peek_candidate(self) -> int | None:
-        """Node of CAND with the highest AO priority (smallest rank), or None."""
-        raise NotImplementedError
-
-    def _remove_candidate(self, node: int) -> None:
-        raise NotImplementedError
-
-    def _mark_available(self, node: int) -> None:
-        """Record that ``node`` is activated and all its children are finished."""
-        self.ready_queue.add(node)
-
-    # ------------------------------------------------------------------ #
-    # DispatchMemory (Algorithm 3 / Algorithm 6 lines 4-17)
-    # ------------------------------------------------------------------ #
-    @hot_kernel
-    def _dispatch_memory(self, j: int) -> None:
-        self._mbooked, self._peak_booked = dispatch_memory(
-            j,
-            self._booked,
-            self._bbs,
-            self._state,
-            self._parent_list,
-            self._fout_list,
-            self._mem_needed_list,
-            self._mbooked,
-            self._tol,
-            self._peak_booked,
-            self.dispatch_to_candidates,
+    def _new_kernel(self, workspace: SimWorkspace, memory_limit: float) -> MemBookingKernel:
+        return self.kernel(
+            workspace, memory_limit, dispatch_to_candidates=self.dispatch_to_candidates
         )
 
-    # ------------------------------------------------------------------ #
-    # UpdateCAND-ACT (Algorithm 4 / Algorithm 6 lines 18-30)
-    # ------------------------------------------------------------------ #
-    @hot_kernel
-    def _activate(self) -> None:
-        self._mbooked, self._peak_booked, _, _ = run_membooking_activation(
-            self._peek_candidate,
-            self._remove_candidate,
-            self._make_candidate,
-            self._mark_available,
-            self._booked,
-            self._bbs,
-            self._state,
-            self._parent_list,
-            self._mem_needed_list,
-            self._child_offsets,
-            self._child_nodes,
-            self._ch_not_act,
-            self._ch_not_fin,
-            self._mbooked,
-            self._threshold,
-            self._peak_booked,
-            self.dispatch_to_candidates,
-        )
 
-    # ------------------------------------------------------------------ #
-    # engine events
-    # ------------------------------------------------------------------ #
-    @hot_kernel
-    def _on_task_started(self, node: int) -> None:
-        self._state[node] = RUN
-
-    @hot_kernel
-    def _on_tasks_finished(self, nodes: Sequence[int]) -> None:
-        state = self._state
-        parent = self._parent_list
-        ch_not_fin = self._ch_not_fin
-        dispatch = self._dispatch_memory
-        mark_available = self._mark_available
-        for node in nodes:
-            state[node] = FN
-            dispatch(node)
-            p = parent[node]
-            if p >= 0:
-                ch_not_fin[p] -= 1
-                if ch_not_fin[p] == 0 and state[p] == ACT:
-                    mark_available(p)
-
-    def _on_task_finished(self, node: int) -> None:
-        self._on_tasks_finished((node,))
-
-    # ------------------------------------------------------------------ #
-    # diagnostics
-    # ------------------------------------------------------------------ #
-    def _extra_results(self) -> dict[str, Any]:
-        return {"peak_booked_memory": self._peak_booked}
-
-    def _invariant_state(self) -> dict[str, Any]:
-        return {
-            "booked": np.asarray(self._booked, dtype=np.float64),
-            "booked_by_subtree": np.asarray(self._bbs, dtype=np.float64),
-            "state": np.frombuffer(bytes(self._state), dtype=np.int8),
-            "mbooked": self._mbooked,
-            "limit": self._limit,
-            "mem_needed": self.tree.mem_needed,
-            "tree": self.tree,
-        }
-
-
-class MemBookingScheduler(_MemBookingCore):
-    """Optimised MemBooking (Appendix B): heap-based CAND / ACTf structures.
-
-    Scheduling cost is ``O(n (H + log n))`` in total (Theorem 2): every node
-    is pushed/popped at most once on each heap, dispatch walks are bounded by
-    the node depth, and all state transitions use O(1) counters.  ``CAND``
-    is a plain AO-rank heap with lazy deletion: an entry whose node is no
-    longer in state CAND is stale and skipped when it surfaces (a node
-    enters CAND at most once, so stale entries can never shadow live ones).
-    """
-
-    name = "MemBooking"
-    #: Compiled twin (repro.native): the full event loop with the lazy-heap
-    #: CAND structure, booking walks and ALAP dispatch.  The reference
-    #: implementation below stays pure Python on purpose — it is the oracle.
-    native_kernel = "membooking"
-
-    def _setup_structures(self) -> None:
-        self._cand_heap: list[tuple[int, int]] = []
-        self._eo_rank_list = self.workspace.eo_rank_list
-        # ACTf: a plain (EO rank, node) heap the engine pops directly.
-        self.ready_heap = []
-
-    @hot_kernel
-    def _mark_available(self, node: int) -> None:
-        heapq.heappush(self.ready_heap, (self._eo_rank_list[node], node))
-
-    @hot_kernel
-    def _make_candidate(self, node: int) -> None:
-        self._state[node] = CAND
-        heapq.heappush(self._cand_heap, (self._ao_rank_list[node], node))
-
-    @hot_kernel
-    def _peek_candidate(self) -> int | None:
-        heap = self._cand_heap
-        state = self._state
-        while heap:
-            node = heap[0][1]
-            if state[node] == CAND:
-                return node
-            heapq.heappop(heap)  # stale entry of an already-activated node
-        return None
-
-    def _remove_candidate(self, node: int) -> None:
-        # Lazy: the caller flips the node's state out of CAND right after,
-        # which is exactly what invalidates the heap entry.
-        pass
-
-
-class MemBookingReferenceScheduler(_MemBookingCore):
+class MemBookingReferenceScheduler(MemBookingScheduler):
     """Reference MemBooking (Algorithms 2–4) with a naive ``CAND`` structure.
 
-    ``CAND`` is a plain Python set scanned linearly at every activation
-    attempt, as in the literal pseudo-code.  The pool of available activated
-    tasks used to be a plain set as well, with an O(n) ``min`` scan per
-    started task; that scan dominated the decision path on large sweeps, so
-    it now shares the heap-based :class:`~repro.schedulers.base.ReadyQueue`
-    with the optimised implementation (EO ranks are permutations, so the
-    extracted task — the unique rank minimiser — is unchanged).  The bookings
-    are identical to :class:`MemBookingScheduler` — only the asymptotic cost
-    of the candidate scan differs — so both classes must produce exactly the
-    same schedule; the test-suite checks this on every random instance it
-    draws.
+    The pool of available activated tasks is the heap of the optimised
+    version (EO ranks are permutations, so the extracted task — the unique
+    rank minimiser — is the one the seed's O(n) ``min`` scan took).  The
+    test-suite checks on every random instance it draws that both classes
+    produce exactly the same schedule.
     """
 
     name = "MemBookingReference"
-
-    def _setup_structures(self) -> None:
-        self._cand_set: set[int] = set()
-        self.ready_queue = ReadyQueue(self.workspace.eo_rank_list)
-
-    @plane_mutator(note="naive reference CAND structure (set-based)")
-    def _make_candidate(self, node: int) -> None:
-        self._state[node] = CAND
-        self._cand_set.add(node)
-
-    def _peek_candidate(self) -> int | None:
-        if not self._cand_set:
-            return None
-        return min(self._cand_set, key=self._ao_rank_list.__getitem__)
-
-    def _remove_candidate(self, node: int) -> None:
-        self._cand_set.discard(node)
+    kernel = MemBookingReferenceKernel

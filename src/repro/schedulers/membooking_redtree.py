@@ -35,8 +35,8 @@ and die with the tree.
 
 from __future__ import annotations
 
-import math
 import weakref
+from dataclasses import replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -148,22 +148,14 @@ class MemBookingRedTreeScheduler(ActivationScheduler):
         # Translate the schedule back to the original node indices (fictitious
         # leaves are dropped; they have zero duration and no real work).
         n = tree.n
-        result = ScheduleResult(
-            scheduler=self.name,
+        result = replace(
+            inner,
             tree_size=n,
-            num_processors=num_processors,
-            memory_limit=memory_limit,
-            completed=inner.completed,
-            makespan=inner.makespan if inner.completed else math.inf,
             start_times=inner.start_times[:n].copy(),
             finish_times=inner.finish_times[:n].copy(),
             processor=inner.processor[:n].copy(),
-            peak_memory=math.nan,
-            scheduling_seconds=inner.scheduling_seconds,
-            num_events=inner.num_events,
             activation_order=ao.name,
             execution_order=eo.name,
-            failure_reason=inner.failure_reason,
             extras={
                 **inner.extras,
                 "num_fictitious_nodes": reduction.num_fictitious,

@@ -9,7 +9,8 @@ tree families of the paper (assembly surrogate + synthetic), across memory
 pressures from infeasible to abundant, processor counts from serial to wide,
 and a non-trivial AO/EO split.  Every comparison is exact (``==`` on floats,
 no tolerances); only the wall-clock ``scheduling_seconds`` measurements are
-exempt.
+exempt.  Every suite runs twice: on the default plane (the C stepper when a
+compiler is present) and pinned to the Python event loop.
 """
 
 from __future__ import annotations
@@ -58,7 +59,18 @@ def assert_identical_schedules(array_result, reference_result, label: str) -> No
     ), label
 
 
-class TestSeedScheduleParity:
+class _ArraySide:
+    #: ``scheduler.native`` of the array side: ``None`` lets AUTO pick the
+    #: C stepper when a compiler exists, ``False`` pins the Python loop.
+    native: bool | None = None
+
+    def _array(self, heuristic):
+        scheduler = SCHEDULER_FACTORIES[heuristic]()
+        scheduler.native = self.native
+        return scheduler
+
+
+class TestSeedScheduleParity(_ArraySide):
     @pytest.mark.parametrize("heuristic", HEURISTICS)
     def test_exact_parity_on_both_tree_families(self, heuristic):
         for family, trees in _datasets():
@@ -67,7 +79,7 @@ class TestSeedScheduleParity:
                 minimum = sequential_peak_memory(tree, order, check=False)
                 for factor in MEMORY_FACTORS:
                     for p in PROCESSORS:
-                        array_result = SCHEDULER_FACTORIES[heuristic]().schedule(
+                        array_result = self._array(heuristic).schedule(
                             tree, p, factor * minimum, ao=order, eo=order
                         )
                         reference_result = REFERENCE_FACTORIES[heuristic]().schedule(
@@ -88,7 +100,7 @@ class TestSeedScheduleParity:
             eo = make_order(tree, "CP")
             minimum = sequential_peak_memory(tree, ao, check=False)
             for factor in (1.1, 3.0):
-                array_result = SCHEDULER_FACTORIES[heuristic]().schedule(
+                array_result = self._array(heuristic).schedule(
                     tree, 4, factor * minimum, ao=ao, eo=eo
                 )
                 reference_result = REFERENCE_FACTORIES[heuristic]().schedule(
@@ -107,7 +119,7 @@ class TestSeedScheduleParity:
         minimum = sequential_peak_memory(tree, order, check=False)
         workspace = SimWorkspace(tree, order, order)
         for factor in (1.0, 2.0):
-            with_workspace = SCHEDULER_FACTORIES[heuristic]().schedule(
+            with_workspace = self._array(heuristic).schedule(
                 tree, 4, factor * minimum, ao=order, eo=order, workspace=workspace
             )
             reference_result = REFERENCE_FACTORIES[heuristic]().schedule(
@@ -125,7 +137,7 @@ class TestSeedScheduleParity:
         order_b = minimum_memory_postorder(tree_b)
         stale = SimWorkspace(tree_a, order_a, order_a)
         minimum = sequential_peak_memory(tree_b, order_b, check=False)
-        result = SCHEDULER_FACTORIES["MemBooking"]().schedule(
+        result = self._array("MemBooking").schedule(
             tree_b, 4, 2.0 * minimum, ao=order_b, eo=order_b, workspace=stale
         )
         reference_result = REFERENCE_FACTORIES["MemBooking"]().schedule(
@@ -134,7 +146,7 @@ class TestSeedScheduleParity:
         assert_identical_schedules(result, reference_result, "stale workspace")
 
 
-class TestFailureParity:
+class TestFailureParity(_ArraySide):
     def test_infeasible_and_deadlock_messages_are_identical(self):
         """Failure outcomes (t=0 and mid-run deadlocks) match to the character."""
         trees, _ = synthetic_dataset("tiny", seed=7011)
@@ -143,7 +155,7 @@ class TestFailureParity:
             order = minimum_memory_postorder(tree)
             minimum = sequential_peak_memory(tree, order, check=False)
             for factor in (1.0, 1.05, 1.2):
-                array_result = SCHEDULER_FACTORIES["MemBookingRedTree"]().schedule(
+                array_result = self._array("MemBookingRedTree").schedule(
                     tree, 4, factor * minimum, ao=order, eo=order
                 )
                 reference_result = REFERENCE_FACTORIES["MemBookingRedTree"]().schedule(
@@ -154,3 +166,13 @@ class TestFailureParity:
                 if not array_result.completed:
                     seen_failures += 1
         assert seen_failures, "expected at least one infeasible RedTree instance"
+
+
+class TestSeedScheduleParityPython(TestSeedScheduleParity):
+    """The same suite on the Python event loop, whatever the toolchain."""
+
+    native = False
+
+
+class TestFailureParityPython(TestFailureParity):
+    native = False

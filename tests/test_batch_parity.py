@@ -22,6 +22,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.batch.backend as backend_mod
 import repro.batch.lanes as lanes_mod
 import repro.native as native_mod
 from repro.batch import BatchedBackend, LANE_KERNELS, simulate_lanes
@@ -30,6 +31,7 @@ from repro.experiments.backends import SerialBackend
 from repro.experiments.runner import prepare_instance
 from repro.native.build import _find_compiler
 from repro.schedulers import SCHEDULER_FACTORIES
+from repro.schedulers.engine import simulate_kernel
 from repro.schedulers.reference import REFERENCE_FACTORIES
 from repro.schedulers.validation import resident_peak
 from repro.workloads.families import heavy_leaf_caterpillar, random_attachment_tree
@@ -161,7 +163,7 @@ def test_blocked_replay_collapse_fires_and_stays_identical(kernel_name, seed):
             kernel_cls, tree, context.ao, context.eo, context.workspace, grid, native=False
         )
         for (p, limit), (result, _) in zip(grid, outcomes):
-            scalar = kernel_cls.scheduler_class().schedule(
+            scalar = SCHEDULER_FACTORIES[kernel_name]().schedule(
                 tree, p, limit, ao=context.ao, eo=context.eo, workspace=context.workspace
             )
             assert result.completed == scalar.completed
@@ -204,7 +206,7 @@ def test_lane_results_match_scalar_schedules_exactly(kernel_name, rng):
             assert donor_back == 0
             assert donor.start_times is result.start_times
     for (p, limit), (result, back) in zip(lanes, outcomes):
-        scalar = kernel_cls.scheduler_class().schedule(
+        scalar = SCHEDULER_FACTORIES[kernel_name]().schedule(
             tree, p, limit, ao=context.ao, eo=context.eo, workspace=context.workspace
         )
         assert result.scheduler == scalar.scheduler
@@ -251,10 +253,10 @@ def test_python_lane_matches_native_lane(kernel_name, seed):
         for p in (1, 2, 5, 16):
             for factor in (0.4, 0.9, 1.0, 1.3, 3.0, 20.0):
                 limit = factor * context.minimum_memory
-                python = lanes_mod._drain(kernel_cls(workspace, limit, template), p, starve_init)
+                python = simulate_kernel(kernel_cls(workspace, limit, template), p, starve_init)
                 native = native_mod.simulate(
                     kernels,
-                    kernel_cls.scheduler_class.native_kernel,
+                    kernel_cls.native_kernel,
                     workspace.native_planes(),
                     p,
                     limit,
@@ -278,3 +280,58 @@ def test_python_lane_matches_native_lane(kernel_name, seed):
                     "bound_need",
                 ):
                     assert getattr(python, name) == getattr(native, name), (name, p, factor)
+
+
+@pytest.mark.parametrize(
+    "native",
+    [
+        False,
+        pytest.param(
+            True,
+            marks=pytest.mark.skipif(
+                _find_compiler() is None, reason="no C compiler on this machine"
+            ),
+        ),
+    ],
+)
+def test_batched_backend_honours_timing_repetitions(native, monkeypatch):
+    """Every simulated lane repeats its one call ``timing_repetitions`` times.
+
+    Each repetition runs on fresh state (a new kernel, or a new C call),
+    and the records stay byte-identical to the serial backend's.
+    """
+    trees = fuzz_trees(7)
+    config = SweepConfig(
+        schedulers=("Activation", "MemBooking"),
+        memory_factors=(1.0, 1.5, 6.0),
+        processors=(2, 8, 32),
+        min_completion_fraction=0.0,
+        validate=False,
+        native=native,
+        timing_repetitions=3,
+    )
+    serial = run_sweep(trees, config, backend=SerialBackend())
+
+    calls: list[int] = []
+    owner, attr = (native_mod, "simulate") if native else (lanes_mod, "simulate_kernel")
+    simulate = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    simulated: list[int] = []
+    simulate_lanes_call = backend_mod.simulate_lanes
+
+    def counting_lanes(*args, **kwargs):
+        outcomes = simulate_lanes_call(*args, **kwargs)
+        # One representative (back == 0) per simulated lane.
+        simulated.extend(1 for _, back in outcomes if not back)
+        return outcomes
+
+    monkeypatch.setattr(backend_mod, "simulate_lanes", counting_lanes)
+    batched = run_sweep(trees, config, backend=BatchedBackend())
+    assert record_bytes(batched) == record_bytes(serial)
+    assert simulated, "the grid must simulate lanes"
+    assert len(calls) == 3 * len(simulated)

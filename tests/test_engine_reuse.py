@@ -1,11 +1,10 @@
 """Reusing one scheduler object must be indistinguishable from a fresh one.
 
-``EventDrivenScheduler._run`` re-initialises every piece of bookkeeping in
-``_setup`` and clears the per-run engine references (tree, orders, ready
-queue) when the simulation ends, so calling ``schedule`` repeatedly on the
-same object — as the CLI, the ablations and user code do — must produce
-identical :class:`~repro.schedulers.base.ScheduleResult`\\ s every time, and
-must not keep the previously scheduled tree alive.
+Each run's state lives in a kernel built for that call and dropped when it
+returns, so a scheduler object holds no per-run state: calling ``schedule``
+repeatedly on the same object — as the CLI, the ablations and user code do —
+must produce identical :class:`~repro.schedulers.base.ScheduleResult`\\ s
+every time, and must not keep the previously scheduled tree alive.
 """
 
 from __future__ import annotations
@@ -65,28 +64,39 @@ class TestSchedulerReuse:
         _assert_identical(fresh, again)
 
     def test_engine_state_cleared_after_run(self, rng):
+        """A run leaves nothing on the scheduler object."""
         tree = random_tree(rng, 40)
-        scheduler = SCHEDULER_FACTORIES["Activation"]()
-        _schedule(scheduler, tree)
-        assert scheduler.tree is None
-        assert scheduler.ao is None and scheduler.eo is None
-        assert scheduler.ready_queue is None
+        for name in ENGINE_SCHEDULERS:
+            scheduler = SCHEDULER_FACTORIES[name]()
+            _schedule(scheduler, tree)
+            assert vars(scheduler) == {}, name
 
     def test_engine_state_cleared_when_hook_raises(self, rng):
-        """The reset must run on the failure path too (try/finally)."""
-        from repro.schedulers.activation import ActivationScheduler
+        """A kernel that raises leaves nothing on the scheduler either."""
+        from repro.schedulers.activation import ActivationKernel, ActivationScheduler
+
+        class ExplodingKernel(ActivationKernel):
+            def bind(self):
+                activate, on_started, on_finished = super().bind()
+
+                def exploding(nodes):
+                    raise RuntimeError("boom")
+
+                return activate, on_started, exploding
 
         class ExplodingScheduler(ActivationScheduler):
-            def _activate(self) -> None:
-                raise RuntimeError("boom")
+            kernel = ExplodingKernel
 
         tree = random_tree(rng, 20)
+        ref = weakref.ref(tree)
         scheduler = ExplodingScheduler()
+        scheduler.native = True  # a kernel subclass runs in Python regardless
         with pytest.raises(RuntimeError, match="boom"):
             _schedule(scheduler, tree)
-        assert scheduler.tree is None
-        assert scheduler.ao is None and scheduler.eo is None
-        assert scheduler.ready_queue is None
+        assert vars(scheduler) == {"native": True}
+        del tree
+        gc.collect()
+        assert ref() is None, "a failed run must not pin the tree"
 
     def test_scheduler_does_not_keep_tree_alive(self, rng):
         """The weak-keyed sweep memo relies on trees becoming collectable."""

@@ -54,6 +54,8 @@ from repro.native.build import (
 from repro.core.task_tree import TaskTree
 from repro.orders import make_order, minimum_memory_postorder, sequential_peak_memory
 from repro.schedulers import SCHEDULER_FACTORIES, ActivationScheduler
+from repro.schedulers.activation import ActivationKernel
+from repro.schedulers.engine import native_twin
 from repro.schedulers.base import ScheduleResult
 from repro.schedulers.reference import REFERENCE_FACTORIES
 from repro.schedulers.validation import memory_profile, resident_peak, validate_schedule
@@ -128,26 +130,54 @@ def test_required_mode_raises_when_build_fails(monkeypatch, fresh_native, small_
         required.schedule(small_tree, 2, 60.0)
 
 
-def test_subclass_hook_override_opts_out_of_native(fresh_native, small_tree):
-    """A subclass customising an engine hook never takes the C fast path.
+def test_subclass_hook_override_opts_out_of_native(fresh_native, small_tree, monkeypatch):
+    """A scheduler whose kernel subclasses a C-mirrored kernel never takes C.
 
-    The compiled stepper cannot call back into Python per event, so an
-    overridden hook (instrumentation, extra bookkeeping, deliberate test
-    faults) must route the run through the Python kernels — even when
-    native was explicitly requested.
+    The compiled stepper cannot call back into Python per event, so a
+    kernel with changed transitions (instrumentation, extra bookkeeping,
+    deliberate test faults) must run through the Python event loop — even
+    when native was explicitly requested.
     """
     calls: list[tuple[int, ...]] = []
 
-    class CountingScheduler(ActivationScheduler):
-        def _on_tasks_finished(self, nodes):
-            calls.append(tuple(nodes))
-            super()._on_tasks_finished(nodes)
+    class CountingKernel(ActivationKernel):
+        def bind(self):
+            activate, on_started, on_finished = super().bind()
 
+            def counting(nodes):
+                calls.append(tuple(nodes))
+                on_finished(nodes)
+
+            return activate, on_started, counting
+
+    class CountingScheduler(ActivationScheduler):
+        kernel = CountingKernel
+
+    def no_native(*args, **kwargs):
+        raise AssertionError("a kernel subclass must not reach the C stepper")
+
+    monkeypatch.setattr(native_mod, "simulate", no_native)
     scheduler = CountingScheduler()
     scheduler.native = True
     result = scheduler.schedule(small_tree, 2, 60.0)
     assert result.completed
-    assert calls, "the overridden hook must still observe every completion"
+    assert calls, "the overridden transition must still observe every completion"
+
+
+def test_native_twin_of_stock_kernels():
+    """C eligibility of the stock classes: the kernel class declares its twin."""
+    twins = {
+        name: native_twin(factory.kernel)
+        for name, factory in SCHEDULER_FACTORIES.items()
+        if hasattr(factory, "kernel")
+    }
+    assert twins == {
+        "Activation": "activation",
+        "MemBooking": "membooking",
+        "MemBookingRedTree": "activation",  # inherits Activation's kernel
+        "MemBookingReference": None,  # the oracle stays pure Python
+        "ListNoMemory": None,
+    }
 
 
 def test_env_zero_disables_native_entirely(monkeypatch, fresh_native):

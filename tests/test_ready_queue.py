@@ -2,10 +2,12 @@
 
 The ReadyQueue replaced three ad-hoc ready-pool implementations (two
 ``IndexedHeap`` usages with hand-computed priorities and an O(n) ``min``
-scan over a plain set).  The parity tests pin the contract that made the
-replacement safe: every ReadyQueue-backed scheduler produces exactly the
-same schedule as :class:`MemBookingReferenceScheduler` / the seed
-behaviour on random instances.
+scan over a plain set); the frozen reference engine still pops its ready
+tasks through it, while the kernels keep a plain ``(rank, node)`` heap.
+The parity tests pin the contract that made the replacement safe:
+MemBooking produces exactly the same schedule as
+:class:`MemBookingReferenceScheduler` on random instances, and the
+oracle's pop is the rank minimiser the seed's scan returned.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.schedulers.membooking import (
     MemBookingReferenceScheduler,
     MemBookingScheduler,
 )
+from repro.schedulers.reference import ReferenceMemBookingScheduler
 
 from .helpers import random_tree
 
@@ -98,7 +101,8 @@ class TestScheduleParity:
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_reference_pop_is_rank_minimiser(self, seed):
-        """The heap pop extracts exactly what the seed's O(n) min scan did."""
+        """The frozen oracle's ReadyQueue pop extracts exactly what the
+        seed's O(n) min scan did (the parity suites compare against it)."""
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, 40)
         order = minimum_memory_postorder(tree)
@@ -106,7 +110,7 @@ class TestScheduleParity:
 
         popped: list[int] = []
 
-        class RecordingReference(MemBookingReferenceScheduler):
+        class RecordingReference(ReferenceMemBookingScheduler):
             def _pop_ready_task(self):
                 before = {n for n in range(self.tree.n) if n in self.ready_queue}
                 node = super()._pop_ready_task()
