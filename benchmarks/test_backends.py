@@ -1,42 +1,26 @@
-"""Backend equivalence and transfer-cost benchmark for the sweep engine.
+"""Backend equivalence benchmark for the sweep engine.
 
-Two guarantees of the zero-copy refactor are asserted here, on the real
-figure workloads rather than toy trees:
-
-* **Byte-identical records** — ``run_sweep`` with the
-  :class:`~repro.experiments.backends.SharedMemoryBackend` must reproduce
-  the :class:`~repro.experiments.backends.SerialBackend` records exactly on
-  the fig8 (AO/EO-choice, assembly trees) and fig15 (processor sweep,
-  synthetic trees) configurations.  Records are compared as pickled bytes —
-  literally byte-identical — after dropping the wall-clock
-  ``scheduling_seconds`` measurements, which are non-deterministic even
-  between two serial runs.
-* **Dispatch payload drop** — on a multi-tree dataset the per-task bytes a
-  worker receives must shrink by >= 10x versus the per-tree
-  :class:`~repro.experiments.backends.ProcessPoolBackend`, because the
-  shared-memory backend ships node arrays once (through the arena) and
-  dispatches index tuples.  The measured sizes are recorded in
-  ``benchmarks/results/backend_payloads.txt``.
+``run_sweep`` and plan execution with the
+:class:`~repro.experiments.backends.SharedMemoryBackend` and the
+:class:`~repro.batch.BatchedBackend` must reproduce the
+:class:`~repro.experiments.backends.SerialBackend` records exactly on the
+fig8 (AO/EO-choice, assembly trees) and fig15 (processor sweep, synthetic
+trees) configurations, for full and subset plans.  Records are compared as
+pickled bytes — literally byte-identical — after dropping the wall-clock
+``scheduling_seconds`` measurements, which are non-deterministic even
+between two serial runs.
 """
 
 from __future__ import annotations
 
 import pickle
-from pathlib import Path
 
 import pytest
 
 from repro.batch import BatchedBackend
 from repro.experiments import SweepConfig, run_sweep
-from repro.experiments.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SharedMemoryBackend,
-    dispatch_payload_stats,
-)
+from repro.experiments.backends import SerialBackend, SharedMemoryBackend
 from repro.workloads.datasets import assembly_dataset, synthetic_dataset
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 TIMING_FIELDS = frozenset({"scheduling_seconds", "scheduling_seconds_per_node"})
 
@@ -101,39 +85,6 @@ def test_fig15_configuration_byte_identical(bench_scale):
     )
 
 
-def test_dispatch_payload_bytes_drop(bench_scale):
-    trees, _ = synthetic_dataset(bench_scale, seed=7011)
-    config = FIG15_SWEEP
-    process = dispatch_payload_stats(ProcessPoolBackend(4), trees, config)
-    shared = dispatch_payload_stats(SharedMemoryBackend(4), trees, config)
-
-    mean_ratio = process["mean_bytes"] / shared["mean_bytes"]
-    total_ratio = process["total_bytes"] / shared["total_bytes"]
-    text = "\n".join(
-        [
-            "== backend_payloads: per-task dispatch payload bytes ==",
-            f"trees={len(trees)} scale={bench_scale} "
-            f"instances={int(shared['num_payloads'])}",
-            f"process pool : {int(process['num_payloads'])} payloads, "
-            f"mean {process['mean_bytes']:.0f} B, max {process['max_bytes']:.0f} B, "
-            f"total {process['total_bytes']:.0f} B",
-            f"shared memory: {int(shared['num_payloads'])} payloads, "
-            f"mean {shared['mean_bytes']:.0f} B, max {shared['max_bytes']:.0f} B, "
-            f"total {shared['total_bytes']:.0f} B",
-            f"mean payload drop : {mean_ratio:.1f}x",
-            f"total bytes drop  : {total_ratio:.1f}x",
-        ]
-    )
-    print()
-    print(text)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "backend_payloads.txt").write_text(text + "\n")
-
-    assert mean_ratio >= 10.0, (
-        f"expected >= 10x smaller per-worker dispatch payloads, got {mean_ratio:.1f}x"
-    )
-
-
 @pytest.mark.parametrize("jobs", [2])
 def test_shared_memory_backend_through_figure_api(bench_scale, jobs):
     """The --backend plumbing end to end: figure sweep via shared memory."""
@@ -159,11 +110,7 @@ def test_fig8_plans_byte_identical_across_backends(bench_scale):
         )
         plan = SweepPlan.from_config(config, len(trees))
         serial = record_bytes(execute_plan(trees, plan, backend=SerialBackend()))
-        for backend in (
-            ProcessPoolBackend(jobs=2),
-            SharedMemoryBackend(jobs=2),
-            BatchedBackend(),
-        ):
+        for backend in (SharedMemoryBackend(jobs=2), BatchedBackend()):
             got = record_bytes(execute_plan(trees, plan, backend=backend))
             assert got == serial, (
                 f"{backend.name} plan records diverged from serial on "
@@ -174,12 +121,7 @@ def test_fig8_plans_byte_identical_across_backends(bench_scale):
         positions = list(range(0, len(plan), 2))
         subset = plan.subset(positions)
         expected = [serial[p] for p in positions]
-        for backend in (
-            SerialBackend(),
-            ProcessPoolBackend(jobs=2),
-            SharedMemoryBackend(jobs=2),
-            BatchedBackend(),
-        ):
+        for backend in (SerialBackend(), SharedMemoryBackend(jobs=2), BatchedBackend()):
             got = record_bytes(execute_plan(trees, subset, backend=backend))
             assert got == expected, (
                 f"{backend.name} subset-plan records diverged on "
@@ -188,7 +130,7 @@ def test_fig8_plans_byte_identical_across_backends(bench_scale):
 
 
 def test_fig15_plans_byte_identical_across_backends(bench_scale):
-    """The fig15 processor sweep through the plan API, all four backends."""
+    """The fig15 processor sweep through the plan API, on every backend."""
     from repro.experiments import SweepPlan, execute_plan
 
     trees, _ = synthetic_dataset(bench_scale, seed=7011)
@@ -196,11 +138,7 @@ def test_fig15_plans_byte_identical_across_backends(bench_scale):
     serial = record_bytes(execute_plan(trees, plan, backend=SerialBackend()))
     legacy = record_bytes(run_sweep(trees, FIG15_SWEEP, backend=SerialBackend()))
     assert serial == legacy, "plan execution diverged from run_sweep on fig15"
-    for backend in (
-        ProcessPoolBackend(jobs=2),
-        SharedMemoryBackend(jobs=2),
-        BatchedBackend(),
-    ):
+    for backend in (SharedMemoryBackend(jobs=2), BatchedBackend()):
         got = record_bytes(execute_plan(trees, plan, backend=backend))
         assert got == serial, (
             f"{backend.name} plan records diverged from serial on fig15"

@@ -1,36 +1,21 @@
-"""Columnar result-plane benchmark: value identity and pipe-payload drop.
+"""Columnar result-plane benchmark: value identity and the suite cache.
 
-Two guarantees of the RecordTable migration are asserted here, on the real
-figure workloads rather than toy trees:
-
-* **Value-identical records** — the columnar pipeline (``run_sweep`` ->
-  :class:`~repro.experiments.records.RecordTable` -> ``to_dicts``) must
-  reproduce the PR 2 dict pipeline (a plain ``run_instance`` loop) exactly,
-  timing fields aside, on the fig8 (AO/EO-choice, assembly trees) and fig15
-  (processor sweep, synthetic trees) configurations — across the serial,
-  process-pool and shared-memory backends.
-* **Result payload drop** — the per-result bytes crossing the pool pipe
-  must shrink by >= 10x versus pickled record dicts, because the
-  shared-memory backend's workers write rows into the shared result table
-  and ship back only the row index.  The measured sizes are recorded in
-  ``benchmarks/results/result_payloads.txt``.
+The columnar pipeline (``run_sweep`` ->
+:class:`~repro.experiments.records.RecordTable` -> ``to_dicts``) must
+reproduce the plain dict pipeline (a ``run_instance`` loop) exactly, timing
+fields aside, on the fig8 (AO/EO-choice, assembly trees) and fig15
+(processor sweep, synthetic trees) configurations — across the serial and
+shared-memory backends, whose workers write rows straight into a shared
+result table.  A second ``run_suite`` at the same scale must be served from
+the persistent result cache.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.experiments import SweepConfig, records_equal, run_sweep
-from repro.experiments.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SharedMemoryBackend,
-    result_payload_stats,
-)
+from repro.experiments.backends import SerialBackend, SharedMemoryBackend
 from repro.experiments.runner import run_instance
 from repro.workloads.datasets import assembly_dataset, synthetic_dataset
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 TIMING_FIELDS = ("scheduling_seconds", "scheduling_seconds_per_node")
 
@@ -48,15 +33,11 @@ FIG8_FACTORS = (1.5, 2.0, 5.0, 20.0)
 #: fig15's sweep shape: three heuristics, five processor counts.
 FIG15_SWEEP = SweepConfig(memory_factors=(1.5, 2.0, 5.0, 10.0), processors=(2, 4, 8, 16, 32))
 
-ALL_BACKENDS = (
-    SerialBackend(),
-    ProcessPoolBackend(jobs=2),
-    SharedMemoryBackend(jobs=2),
-)
+ALL_BACKENDS = (SerialBackend(), SharedMemoryBackend(jobs=2))
 
 
 def dict_pipeline(trees, config):
-    """The PR 2 list-of-dicts pipeline: run_instance straight to dicts."""
+    """The list-of-dicts pipeline: run_instance straight to dicts."""
     return [record for index, tree in enumerate(trees) for record in run_instance(tree, index, config)]
 
 
@@ -87,39 +68,6 @@ def test_fig15_records_value_identical_to_dict_pipeline(bench_scale):
             f"RecordTable records diverged from the dict pipeline on the fig15 "
             f"configuration via {backend.name}"
         )
-
-
-def test_result_payload_bytes_drop(bench_scale):
-    trees, _ = synthetic_dataset(bench_scale, seed=7011)
-    table = run_sweep(trees, FIG15_SWEEP)
-    stats = result_payload_stats(table)
-    dicts, indices = stats["dict_records"], stats["row_indices"]
-
-    mean_ratio = dicts["mean_bytes"] / indices["mean_bytes"]
-    total_ratio = dicts["total_bytes"] / indices["total_bytes"]
-    text = "\n".join(
-        [
-            "== result_payloads: per-result pool-pipe payload bytes ==",
-            f"trees={len(trees)} scale={bench_scale} records={len(table)}",
-            f"pickled dicts (pre-RecordTable pipeline): "
-            f"mean {dicts['mean_bytes']:.0f} B, max {dicts['max_bytes']:.0f} B, "
-            f"total {dicts['total_bytes']:.0f} B",
-            f"row indices (shared-memory result table): "
-            f"mean {indices['mean_bytes']:.0f} B, max {indices['max_bytes']:.0f} B, "
-            f"total {indices['total_bytes']:.0f} B",
-            f"shared result-table arena (out of band, crosses once): {table.nbytes} B",
-            f"mean payload drop : {mean_ratio:.1f}x",
-            f"total bytes drop  : {total_ratio:.1f}x",
-        ]
-    )
-    print()
-    print(text)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "result_payloads.txt").write_text(text + "\n")
-
-    assert mean_ratio >= 10.0, (
-        f"expected >= 10x smaller per-result pipe payloads, got {mean_ratio:.1f}x"
-    )
 
 
 def test_suite_cache_hit_on_second_run(bench_scale, tmp_path):

@@ -11,9 +11,9 @@ Eight sub-commands cover the typical workflows of the library:
 ``memtree schedule``
     Schedule one tree file — or sweep a whole dataset directory — with a
     chosen heuristic, memory factor and processor count, and print the
-    outcome.  On a directory, ``--jobs N`` fans the trees out over ``N``
-    worker processes (per-tree orders and minimum memory are computed once
-    per tree, and the rows come back in deterministic dataset order).
+    outcome.  On a directory, ``--jobs N`` fans the instances out over
+    ``N`` worker processes (per-tree orders and minimum memory are computed
+    once per tree, and the rows come back in deterministic dataset order).
 ``memtree lint``
     Run the static kernel-contract analyzer (:mod:`repro.analysis`) over the
     package (or given paths): compilable-subset purity of the registered hot
@@ -51,18 +51,15 @@ Eight sub-commands cover the typical workflows of the library:
     ``sweep`` and ``shutdown`` actions.  ``memtree schedule --via ADDRESS``
     routes a single-tree schedule through the daemon the same way.
 
-Both sweep commands take ``--backend`` to pick the execution strategy
-(registered through :func:`repro.experiments.backends.register_backend`):
-``serial``, ``process`` (one pickled tree per worker task),
-``shared-memory``, which packs the dataset into a
-:class:`~repro.core.tree_store.TreeStore` arena shipped once through
-:mod:`multiprocessing.shared_memory` and schedules at instance granularity —
-the right choice when a few huge trees must saturate many workers — or
-``batched``, the lane engine of :mod:`repro.batch`: all instances of one
-tree are resolved together in-process, with provably identical lanes
-collapsed to a single simulation.  The default ``auto`` keeps the
-historical behaviour (serial for ``--jobs 1``, per-tree chunking
-otherwise); the records are identical for every backend.
+Both sweep commands take ``--backend`` to pick the execution strategy:
+``serial``; ``shared-memory``, the worker pool, which packs the dataset
+into a :class:`~repro.core.tree_store.TreeStore` arena shipped once through
+:mod:`multiprocessing.shared_memory` and schedules at instance granularity,
+so a few huge trees still saturate every worker; or ``batched``, the lane
+engine of :mod:`repro.batch`: all instances of one tree are resolved
+together in-process, with provably identical lanes collapsed to a single
+simulation.  The default ``auto`` runs serial for ``--jobs 1`` and the
+shared-memory pool otherwise; the records are identical for every backend.
 
 Examples
 --------

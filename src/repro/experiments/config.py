@@ -53,14 +53,13 @@ class SweepConfig:
         sweep would produce.
     backend:
         Execution backend used by :func:`~repro.experiments.runner.run_sweep`
-        (resolved through the :func:`repro.experiments.backends.register_backend`
-        registry): ``"serial"`` (in-process), ``"process"`` (one pickled tree
-        per pool task), ``"shared-memory"`` (zero-copy arena transfer,
-        instance-granularity scheduling), ``"batched"`` (the in-process
-        lane engine of :mod:`repro.batch` — all instances of one tree
-        resolved together, provably identical ones simulated once) or
-        ``"auto"`` (the default — serial for one worker, ``"process"``
-        otherwise, the historical behaviour).
+        (one of :data:`repro.experiments.backends.BACKEND_NAMES`):
+        ``"serial"`` (in-process), ``"shared-memory"`` (the worker pool:
+        zero-copy arena transfer, instance-granularity scheduling),
+        ``"batched"`` (the in-process lane engine of :mod:`repro.batch` —
+        all instances of one tree resolved together, provably identical
+        ones simulated once) or ``"auto"`` (the default — serial for one
+        worker, ``"shared-memory"`` otherwise).
     native:
         Compiled kernel plane selection (:mod:`repro.native`): ``True``
         requires the C kernels (raise if they cannot be built), ``False``

@@ -19,8 +19,8 @@ Having the grid as data buys three things:
   misses only, see below) runs through the identical machinery, so partial
   execution cannot drift from full execution;
 * **plan transforms replace ad-hoc grouping** — the batched backend's lane
-  grouping (:meth:`SweepPlan.lane_groups`) and the per-tree chunking of the
-  process backends (:meth:`SweepPlan.tree_groups`) are methods on the data,
+  grouping (:meth:`SweepPlan.lane_groups`) and the per-tree loop of the
+  in-process backends (:meth:`SweepPlan.tree_groups`) are methods on the data,
   not re-implementations of the enumeration order inside each backend;
 * **instances get stable identities** — :meth:`SweepPlan.instance_keys`
   derives a content key per row from the tree's own bytes (structure,

@@ -14,7 +14,7 @@ them slices of a single contiguous arena (mirroring
 * the :class:`~repro.experiments.backends.SharedMemoryBackend` can
   preallocate the whole result buffer in named shared memory, let workers
   write rows in place and ship back only **row indices** (a pickled ``int``
-  instead of a pickled dict — see ``benchmarks/results/result_payloads.txt``),
+  instead of a pickled dict),
 * :mod:`repro.experiments.metrics` aggregates over columns with vectorised
   NumPy operations instead of per-record Python loops, and
 * :meth:`RecordTable.save` / :meth:`RecordTable.load` persist the same arena

@@ -20,14 +20,12 @@ Parallel execution
 The cartesian sweep is embarrassingly parallel, and the paper's campaigns
 (Figures 2–15) multiply trees x memory factors x processor counts x
 heuristics into thousands of simulations.  *How* the instances execute is
-delegated to the pluggable backends of
-:mod:`repro.experiments.backends`: in-process (``"serial"``), one pickled
-tree per pool task (``"process"``, the historical ``jobs=N`` behaviour) or
-zero-copy shared-memory transfer with instance-granularity scheduling
-(``"shared-memory"``).  All backends place their records through the same
-deterministic instance-keyed merge, so the output is identical — order and
-values, wall-clock ``scheduling_seconds`` measurements aside — whichever
-backend (and worker count) ran the sweep.
+delegated to the backends of :mod:`repro.experiments.backends`:
+in-process (``"serial"``, ``"batched"``) or the zero-copy shared-memory
+worker pool with instance-granularity scheduling (``"shared-memory"``).
+Every backend places each record at its canonical row, so the output is
+identical — order and values, wall-clock ``scheduling_seconds``
+measurements aside — whichever backend (and worker count) ran the sweep.
 """
 
 from __future__ import annotations
@@ -412,8 +410,8 @@ def resilient_run_single(
     simulation is retried in place under the plan's bounded backoff
     budget; exhaustion quarantines the instance via
     :func:`quarantine_record` instead of failing the sweep.  Used by the
-    serial backend, the batched backend's scalar path and both pool
-    backends' workers, so transient faults behave identically everywhere.
+    serial backend, the batched backend's scalar path and the pool's
+    workers, so transient faults behave identically everywhere.
     """
     if faults is None:
         return run_single(context, scheduler_name, num_processors, memory_factor, config)
@@ -449,10 +447,10 @@ def resilient_run_single(
 def canonical_combos(config: SweepConfig) -> list[tuple[str, int, float]]:
     """The canonical per-tree (scheduler, processors, factor) enumeration.
 
-    Exactly the order :func:`run_instance` (and the plan layer's
-    ``iter_instances``) uses within one tree — processors outer, memory
-    factors, schedulers inner — so callers re-materialising a "full tree"
-    dispatch reproduce the serial record order.
+    Exactly the order the plan layer's ``iter_instances`` uses within one
+    tree — processors outer, memory factors, schedulers inner — so callers
+    re-materialising a "full tree" dispatch reproduce the serial record
+    order.
     """
     return [
         (scheduler_name, num_processors, memory_factor)
@@ -466,77 +464,11 @@ def run_instance(tree: TaskTree, index: int, config: SweepConfig) -> list[dict[s
     """Run every (processors, factor, heuristic) combination on one tree.
 
     The :class:`InstanceContext` (orders, minimum memory) is computed once
-    and shared by all the runs on the tree.  This is the unit of work of the
-    parallel sweep: shipping whole trees to the workers keeps that caching
-    intact while the order-preserving merge keeps the records deterministic.
+    and shared by all the runs on the tree; records come in the canonical
+    per-tree order of :func:`canonical_combos`.
     """
     context = prepare_instance(tree, index, config)
-    return [
-        run_single(context, scheduler_name, num_processors, memory_factor, config)
-        for num_processors in config.processors
-        for memory_factor in config.memory_factors
-        for scheduler_name in config.schedulers
-    ]
-
-
-def _run_instance_star(
-    payload: "tuple[int, TaskTree, SweepConfig, Sequence[tuple[str, int, float]] | None]",
-) -> list[dict[str, Any]]:
-    """Module-level pool target (picklable under every start method).
-
-    ``combos`` selects which (scheduler, processors, factor) rows of the
-    tree to simulate — ``None`` means the full canonical per-tree set (a
-    full-plan dispatch); a subset plan ships the explicit list.
-    """
-    index, tree, config, combos = payload
-    if combos is None:
-        return run_instance(tree, index, config)
-    context = prepare_instance(tree, index, config)
-    return [
-        run_single(context, scheduler_name, num_processors, memory_factor, config)
-        for scheduler_name, num_processors, memory_factor in combos
-    ]
-
-
-def _run_tree_task(
-    payload: "tuple[int, TaskTree, SweepConfig, Sequence[tuple[str, int, float]] | None, int]",
-) -> tuple[int, list[dict[str, Any]]]:
-    """Identity-carrying pool target of :class:`~repro.experiments.backends.ProcessPoolBackend`.
-
-    Like :func:`_run_instance_star` but returns ``(tree_index, records)``
-    so the parent's unordered recovery drain can match results to pending
-    tree groups, and runs under the fault harness: the ``attempt`` counter
-    in the payload drives the worker-side crash/hang hook (the decision is
-    the same pure function the parent previews) and every instance goes
-    through :func:`resilient_run_single` for transient-OSError handling.
-    """
-    tree_index, tree, config, combos, attempt = payload
-    from ..resilience.faults import resolve_fault_plan
-
-    faults = resolve_fault_plan(config.fault_plan)
-    if faults is not None:
-        faults.worker_entry(f"tree:{tree_index}", attempt)
-    context = prepare_instance(tree, tree_index, config)
-    if combos is None:
-        combos = canonical_combos(config)
-    return tree_index, [
-        resilient_run_single(
-            context, scheduler_name, num_processors, memory_factor, config, faults
-        )
-        for scheduler_name, num_processors, memory_factor in combos
-    ]
-
-
-def _resolve_jobs(jobs: int | None, config: SweepConfig, num_trees: int) -> int:
-    """Effective worker count: explicit ``jobs`` wins over ``config.jobs``.
-
-    The validation / CPU-expansion / capping policy itself lives in
-    :func:`repro.experiments.backends._worker_count` so every resolution
-    path shares one implementation.
-    """
-    from .backends import _worker_count
-
-    return _worker_count(config.jobs if jobs is None else int(jobs), num_trees)
+    return [run_single(context, *combo, config) for combo in canonical_combos(config)]
 
 
 def run_sweep(
@@ -561,12 +493,11 @@ def run_sweep(
         Number of worker processes (overrides ``config.jobs`` when given).
         ``1`` runs in-process; ``0`` uses one worker per available CPU.
     backend:
-        Execution backend: a name (``"auto"``, ``"serial"``, ``"process"``,
+        Execution backend: a name (``"auto"``, ``"batched"``, ``"serial"``,
         ``"shared-memory"``) or an
         :class:`~repro.experiments.backends.ExecutionBackend` instance;
-        ``None`` defers to ``config.backend`` (default ``"auto"``, which
-        keeps the historical behaviour: serial for one worker, the per-tree
-        process pool otherwise).  Whatever the backend and worker count, the
+        ``None`` defers to ``config.backend`` (default ``"auto"``: serial for
+        one worker, the shared-memory pool otherwise).  Whatever the backend and worker count, the
         records come back in the serial order with the serial values —
         only the wall-clock ``scheduling_seconds`` measurements differ.
     """

@@ -220,6 +220,7 @@ def check_schedule(
     *,
     tolerance: float = 1e-6,
     peak_only: bool = False,
+    memory_limit: float | None = None,
 ) -> tuple[int, float]:
     """Check one schedule in C: ``(violation mask, resident peak)``.
 
@@ -228,6 +229,8 @@ def check_schedule(
     including ``CHECK_DEFER`` for inputs the kernel does not decide, such as
     mistyped planes -- means "ask numpy".  ``peak_only`` skips the
     feasibility checks: a zero mask then only vouches for the peak.
+    ``memory_limit`` overrides ``result.memory_limit`` as the bound of the
+    memory check (``inf`` skips it).
     """
     n = tree.n
     planes = (
@@ -249,7 +252,7 @@ def check_schedule(
         1 if result.completed else 0,
         CHECK_PEAK_ONLY if peak_only else 0,
         float(tolerance),
-        float(result.memory_limit),
+        float(result.memory_limit if memory_limit is None else memory_limit),
         _ptr(parent),
         _ptr(ptime),
         _ptr(nexec),

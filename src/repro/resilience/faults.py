@@ -17,7 +17,7 @@ Grammar (``;``-separated parts, order-free):
   ``hang``, ``os-transient``, ``cache-corrupt``, ``native-build``,
   ``shm-lost``, ``lane-engine``.
 * ``watchdog=S`` / ``backoff=S`` / ``hang=S`` / ``retries=N`` — recovery
-  tunables: the per-result watchdog window of the pool backends, the
+  tunables: the per-result watchdog window of the worker pool, the
   base retry backoff, how long an injected hang sleeps, and the retry
   budget after which an instance is quarantined.
 
@@ -199,7 +199,7 @@ def instance_fault_key(
 ) -> str:
     """The canonical hook key of one sweep instance.
 
-    Shared by every backend (serial, batched, both pools), so one plan
+    Shared by every backend (serial, batched, shared-memory), so one plan
     injects the same instance-level faults whichever backend runs it.
     """
     return f"inst:{tree_index}:{scheduler}:{num_processors}:{memory_factor!r}"

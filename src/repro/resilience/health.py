@@ -34,13 +34,12 @@ class RunHealth:
     #: ``os-transient``, ``cache-corrupt``, ``native-build``, ``shm-lost``,
     #: ``lane-engine``).
     injected: dict[str, int] = field(default_factory=dict)
-    #: Instances (or tree groups) re-dispatched after a lost/failed attempt.
+    #: Instances re-dispatched after a lost/failed attempt.
     retries: int = 0
     #: Watchdog windows that expired with results still pending.
     timeouts: int = 0
-    #: Degradation-ladder edges taken, e.g. ``"shared-memory->process"``,
-    #: ``"process->serial"``, ``"batched->serial"``, ``"native->python"``,
-    #: ``"cache->uncached"``.
+    #: Degradation-ladder edges taken, e.g. ``"shared-memory->serial"``,
+    #: ``"batched->serial"``, ``"native->python"``, ``"cache->uncached"``.
     degradations: dict[str, int] = field(default_factory=dict)
     #: Instances that exhausted their retry budget and were recorded into
     #: the failure plane instead of completing.

@@ -1,8 +1,7 @@
 """Pool recovery machinery: watchdog drains, retry rounds, quarantine.
 
-:func:`drain_pool` is the shared dispatch loop of the two pool backends
-(:class:`~repro.experiments.backends.ProcessPoolBackend` and
-:class:`~repro.experiments.backends.SharedMemoryBackend`): it collects
+:func:`drain_pool` is the dispatch loop of the worker pool
+(:class:`~repro.experiments.backends.SharedMemoryBackend`): it collects
 unordered results under a per-result **watchdog** — a window that resets
 on every arrival, so a healthy-but-slow pool never trips it, while a
 crashed worker's lost task or an injected hang shows up as a window with
@@ -20,8 +19,7 @@ is what the fault-parity suite asserts.
 A first round that ends with **zero** results is not a stuck instance but
 a broken transport (dead initializer, vanished arena, unpicklable
 payloads): :class:`TransportFailure` is raised instead of retrying, and
-the backend takes its degradation-ladder edge
-(shared-memory -> process -> serial).
+the backend takes its degradation-ladder edge (shared-memory -> serial).
 """
 
 from __future__ import annotations

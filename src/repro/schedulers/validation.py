@@ -17,7 +17,9 @@ feasibility condition of the model:
 2. precedence: a task starts only after all of its children finished;
 3. at most ``p`` tasks overlap at any instant;
 4. no two tasks overlap on the same processor;
-5. the resident memory never exceeds the bound ``M``.
+5. the resident memory never exceeds the bound ``M`` — skipped for a
+   result whose ``extras`` mark it ``memory_oblivious`` (``ListNoMemory``
+   ignores the bound by design; its peak is what the record reports).
 
 These checks run on every schedule of a sweep (``SweepConfig.validate``),
 so with the native kernel plane loaded both functions first ask the C
@@ -46,6 +48,7 @@ peak is its closed form, not a check, and is kept as it reports it.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +167,11 @@ def memory_profile(tree: TaskTree, result: ScheduleResult) -> MemoryProfile:
     return MemoryProfile(times=unique_times, memory=memory)
 
 
+def _memory_bound(result: ScheduleResult) -> float:
+    """The bound check 5 applies: none for a memory-oblivious schedule."""
+    return math.inf if result.extras.get("memory_oblivious") else result.memory_limit
+
+
 def _native_check(
     tree: TaskTree,
     result: ScheduleResult,
@@ -178,7 +186,12 @@ def _native_check(
     if kernels is None:
         return None
     mask, peak = check_schedule(
-        kernels, tree, result, tolerance=tolerance, peak_only=peak_only
+        kernels,
+        tree,
+        result,
+        tolerance=tolerance,
+        peak_only=peak_only,
+        memory_limit=_memory_bound(result),
     )
     return peak if mask == 0 else None
 
@@ -309,7 +322,7 @@ def validate_schedule(
 
     # 5. memory bound
     profile = memory_profile(tree, result)
-    if profile.peak > result.memory_limit * (1 + tolerance) + tol:
+    if profile.peak > _memory_bound(result) * (1 + tolerance) + tol:
         errors.append(
             f"resident memory peaks at {profile.peak:.6g} above the bound "
             f"{result.memory_limit:.6g}"

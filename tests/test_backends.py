@@ -1,29 +1,27 @@
-"""Unit tests for the pluggable sweep execution backends.
+"""Unit tests for the sweep execution backends.
 
 Every backend must produce the serial records — same order, same values
-(wall-clock timing fields aside) — and the shared instance-keyed merge must
-fail loudly on duplicates or gaps instead of silently corrupting a sweep.
+(wall-clock timing fields aside) — and the pool's row accounting must fail
+loudly on duplicates or out-of-range rows instead of silently corrupting a
+sweep.
 """
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 
 from repro.experiments.backends import (
     BACKEND_NAMES,
-    ProcessPoolBackend,
     SerialBackend,
     SharedMemoryBackend,
-    dispatch_payload_stats,
+    _claim_index,
     iter_instances,
-    merge_records,
     resolve_backend,
-    result_payload_stats,
     runs_per_tree,
 )
 from repro.experiments.config import SweepConfig
+from repro.experiments.plan import SweepPlan
 from repro.experiments.records import RecordTable
 from repro.experiments.runner import run_sweep
 from repro.workloads import SyntheticTreeConfig, synthetic_trees
@@ -33,35 +31,6 @@ TIMING_FIELDS = frozenset({"scheduling_seconds", "scheduling_seconds_per_node"})
 
 def strip_timings(records):
     return [{k: v for k, v in r.items() if k not in TIMING_FIELDS} for r in records]
-
-
-def make_record(**overrides) -> dict:
-    """A schema-complete sweep record for merge/table unit tests."""
-    record = {
-        "tree_index": 0,
-        "tree_size": 10,
-        "tree_height": 4,
-        "scheduler": "MemBooking",
-        "num_processors": 8,
-        "memory_factor": 2.0,
-        "memory_limit": 100.0,
-        "minimum_memory": 50.0,
-        "completed": True,
-        "makespan": 10.0,
-        "lower_bound": 8.0,
-        "classical_lower_bound": 8.0,
-        "memory_lower_bound": 7.0,
-        "normalized_makespan": 1.25,
-        "peak_memory": 90.0,
-        "memory_fraction": 0.9,
-        "scheduling_seconds": 0.001,
-        "scheduling_seconds_per_node": 0.0001,
-        "activation_order": "memPO",
-        "execution_order": "memPO",
-        "failure_reason": None,
-    }
-    record.update(overrides)
-    return record
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +53,6 @@ def serial_records(trees, config):
 
 
 class TestBackendParity:
-    def test_process_pool_matches_serial(self, trees, config, serial_records):
-        records = ProcessPoolBackend(jobs=2).run(trees, config)
-        assert strip_timings(records) == strip_timings(serial_records)
-
     def test_shared_memory_matches_serial(self, trees, config, serial_records):
         records = SharedMemoryBackend(jobs=2).run(trees, config)
         assert strip_timings(records) == strip_timings(serial_records)
@@ -102,7 +67,7 @@ class TestBackendParity:
         assert SharedMemoryBackend(jobs=2).run([], config) == []
 
     def test_run_sweep_backend_keyword(self, trees, config, serial_records):
-        for backend in ("serial", "process", "shared-memory"):
+        for backend in ("auto", "serial", "shared-memory", "batched"):
             records = run_sweep(trees, config, jobs=2, backend=backend)
             assert strip_timings(records) == strip_timings(serial_records), backend
 
@@ -133,39 +98,17 @@ class TestInstanceEnumeration:
         assert len(list(iter_instances(config, 3))) == 3 * runs_per_tree(config)
 
 
-class TestMerge:
-    def test_restores_order(self):
-        records = [make_record(tree_index=i, makespan=10.0 + i) for i in range(5)]
-        shuffled = [(4, records[4]), (0, records[0]), (2, records[2]), (1, records[1]), (3, records[3])]
-        merged = merge_records(5, shuffled)
-        assert isinstance(merged, RecordTable)
-        assert merged == records
-
-    def test_rejects_duplicates(self):
+class TestRowAccounting:
+    def test_claims_each_row_once(self):
+        seen = np.zeros(3, dtype=bool)
+        _claim_index(seen, 2, 3)
+        assert seen.tolist() == [False, False, True]
         with pytest.raises(ValueError, match="duplicate"):
-            merge_records(2, [(0, make_record()), (0, make_record())])
-
-    def test_rejects_gaps(self):
-        with pytest.raises(ValueError, match="incomplete"):
-            merge_records(3, [(0, make_record()), (2, make_record())])
+            _claim_index(seen, 2, 3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            merge_records(1, [(5, make_record())])
-
-    def test_preserves_failure_and_nonfinite_values(self):
-        failed = make_record(
-            completed=False,
-            makespan=math.inf,
-            normalized_makespan=math.nan,
-            failure_reason="deadlock at t=3: 7 tasks remain",
-        )
-        merged = merge_records(1, [(0, failed)])
-        row = merged[0]
-        assert row["completed"] is False
-        assert row["makespan"] == math.inf
-        assert math.isnan(row["normalized_makespan"])
-        assert row["failure_reason"] == "deadlock at t=3: 7 tasks remain"
+            _claim_index(np.zeros(1, dtype=bool), 5, 1)
 
 
 class TestResolution:
@@ -173,9 +116,14 @@ class TestResolution:
         backend = resolve_backend("auto", config, num_trees=5, jobs=1)
         assert isinstance(backend, SerialBackend)
 
-    def test_auto_process_for_many_workers(self, config):
+    def test_auto_shared_memory_for_many_workers(self, config):
         backend = resolve_backend("auto", config, num_trees=5, jobs=4)
-        assert isinstance(backend, ProcessPoolBackend)
+        assert isinstance(backend, SharedMemoryBackend)
+        assert backend.jobs == 4
+
+    def test_auto_fans_one_tree_out(self, config):
+        """The pool splits one tree's instances, so one tree is no cap."""
+        assert isinstance(resolve_backend("auto", config, 1, jobs=2), SharedMemoryBackend)
 
     def test_none_defers_to_config(self, config):
         backend = resolve_backend(None, config.with_overrides(backend="shared-memory", jobs=2), 5)
@@ -200,15 +148,20 @@ class TestResolution:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("teleport", config, 5)
 
+    def test_process_pool_name_is_gone(self, config):
+        assert BACKEND_NAMES == ("auto", "batched", "serial", "shared-memory")
+        with pytest.raises(ValueError, match="unknown backend 'process'"):
+            SweepConfig(backend="process")
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("process", config, 5, jobs=2)
+
     def test_negative_jobs_rejected_on_every_path(self, trees, config):
         """Pre-backend run_sweep raised for jobs<0 even in-process; keep that."""
-        for backend in ("auto", "serial", "process", "shared-memory"):
+        for backend in ("auto", "serial", "shared-memory"):
             with pytest.raises(ValueError, match="jobs must be >= 0"):
                 run_sweep(trees, config, jobs=-3, backend=backend)
         with pytest.raises(ValueError, match="jobs must be >= 0"):
             run_sweep(trees, config, jobs=-3, backend=SharedMemoryBackend(jobs=2))
-        with pytest.raises(ValueError, match="jobs must be >= 0"):
-            ProcessPoolBackend(jobs=-1)
         with pytest.raises(ValueError, match="jobs must be >= 0"):
             SharedMemoryBackend(jobs=-1)
 
@@ -219,24 +172,10 @@ class TestResolution:
             assert SweepConfig(backend=name).backend == name
 
 
-class TestPayloadAccounting:
-    def test_shared_memory_payloads_are_small(self, trees, config):
-        process = dispatch_payload_stats(ProcessPoolBackend(2), trees, config)
-        shared = dispatch_payload_stats(SharedMemoryBackend(2), trees, config)
-        assert process["num_payloads"] == len(trees)
-        assert shared["num_payloads"] == len(trees) * runs_per_tree(config)
-        # The per-task transfer must not embed node arrays: even on these
-        # 70-node toy trees the per-tree payload dwarfs the index tuple.
-        assert shared["max_bytes"] < 200
-        assert process["mean_bytes"] / shared["mean_bytes"] >= 10
-
-    def test_serial_ships_nothing(self, trees, config):
-        assert dispatch_payload_stats(SerialBackend(), trees, config)["num_payloads"] == 0
-
-
 class TestWorkerContextCache:
     def test_cache_is_bounded_and_correct(self, config):
         """A worker's context cache must not grow past the LRU bound."""
+        from repro.batch.planes import workspace_planes
         from repro.core import TreeStore
         from repro.experiments import backends
 
@@ -244,14 +183,16 @@ class TestWorkerContextCache:
             backends._SHM_CONTEXT_CACHE_SIZE + 4, SyntheticTreeConfig(num_nodes=30), rng=23
         )
         total = len(trees) * runs_per_tree(config)
-        store = TreeStore.pack(trees)
-        shm = store.to_shared_memory()
+        shm = TreeStore.pack_to_shared_memory(trees, planes=workspace_planes(trees, config))
         result_shm, result_table = RecordTable.create_shared(total)
         saved = dict(backends._SHM_WORKER)
         try:
             backends._shm_worker_init(shm.name, result_shm.name, config)
-            payloads = backends.SharedMemoryBackend().dispatch_payloads(trees, config)
-            indices = [backends._shm_run_instance(p) for p in payloads]
+            plan = SweepPlan.from_config(config, len(trees))
+            indices = [
+                backends._shm_run_instance((row, *instance, 0))
+                for row, instance in enumerate(plan.instances())
+            ]
             assert len(backends._SHM_WORKER["contexts"]) <= backends._SHM_CONTEXT_CACHE_SIZE
             assert sorted(indices) == list(range(total))
             serial = SerialBackend().run(trees, config)
@@ -275,15 +216,6 @@ class TestResultPlane:
         table = run_sweep(trees, config)
         assert isinstance(table, RecordTable)
         assert len(table) == len(trees) * runs_per_tree(config)
-
-    def test_result_payload_drop(self, trees, config, serial_records):
-        """Row indices through the pipe must dwarf pickled record dicts."""
-        stats = result_payload_stats(serial_records)
-        assert stats["dict_records"]["num_payloads"] == len(serial_records)
-        assert stats["row_indices"]["num_payloads"] == len(serial_records)
-        assert (
-            stats["dict_records"]["mean_bytes"] / stats["row_indices"]["mean_bytes"] >= 10
-        )
 
 
 class TestJobsOverrideOnInstances:

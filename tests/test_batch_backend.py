@@ -1,4 +1,4 @@
-"""The ``batched`` execution backend and the backend registry."""
+"""The ``batched`` execution backend and backend name resolution."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import pytest
 
 from repro.batch import BatchedBackend
 from repro.experiments import SweepConfig, run_sweep
-from repro.experiments.backends import (
-    BACKEND_NAMES,
-    SerialBackend,
-    register_backend,
-    resolve_backend,
-)
-import repro.experiments.backends as backends_mod
+from repro.experiments.backends import BACKEND_NAMES, SerialBackend, resolve_backend
 from repro.schedulers import SCHEDULER_FACTORIES
 from repro.schedulers.reference import REFERENCE_FACTORIES
 from repro.workloads.synthetic import SyntheticTreeConfig, synthetic_trees
@@ -43,36 +37,9 @@ def config():
     )
 
 
-class TestRegistry:
-    def test_builtin_names_registered(self):
-        assert set(BACKEND_NAMES) == {"auto", "serial", "process", "shared-memory", "batched"}
-
-    def test_register_and_resolve_custom_backend(self, config):
-        calls = []
-
-        def factory(jobs, cfg):
-            calls.append((jobs, cfg))
-            return SerialBackend()
-
-        register_backend("custom-test", factory)
-        try:
-            assert "custom-test" in backends_mod.BACKEND_NAMES
-            backend = resolve_backend("custom-test", config, 3, jobs=4)
-            assert isinstance(backend, SerialBackend)
-            assert calls == [(4, config)]
-        finally:
-            backends_mod._BACKEND_FACTORIES.pop("custom-test")
-            backends_mod.BACKEND_NAMES = (
-                "auto", *sorted(backends_mod._BACKEND_FACTORIES)
-            )
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda jobs, cfg: SerialBackend())
-
-    def test_auto_is_reserved(self):
-        with pytest.raises(ValueError, match="resolution rule"):
-            register_backend("auto", lambda jobs, cfg: SerialBackend())
+class TestResolution:
+    def test_builtin_names(self):
+        assert BACKEND_NAMES == ("auto", "batched", "serial", "shared-memory")
 
     def test_unknown_backend_lists_names(self, config):
         with pytest.raises(ValueError, match="batched"):
@@ -82,7 +49,7 @@ class TestRegistry:
         assert isinstance(resolve_backend("batched", config, 3), BatchedBackend)
 
     def test_jobsless_batched_instance_with_explicit_jobs_warns(self, config):
-        """The jobs-override warning semantics survive the registry refactor."""
+        """A jobs override an in-process backend cannot honour warns."""
         with pytest.warns(RuntimeWarning, match="jobs=4"):
             resolve_backend(BatchedBackend(), config, 3, jobs=4)
 

@@ -110,6 +110,21 @@ class TestSchedule:
         )
         assert code == 0
 
+    def test_memory_oblivious_scheduler_exceeds_the_bound(self, tmp_path, capsys):
+        """ListNoMemory ignores the bound by design: report, do not reject."""
+        dataset = tmp_path / "trees"
+        generate = ["generate", "synthetic", "--num-trees", "2", "--num-nodes", "100"]
+        assert main([*generate, "--seed", "9", "--out", str(dataset)]) == 0
+        capsys.readouterr()
+        args = ["--scheduler", "ListNoMemory", "--memory-factor", "1.5"]
+        assert main(["schedule", str(dataset / "tree_00000.json"), *args, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["completed"] is True
+        assert record["failure_reason"] is None
+        assert record["memory_fraction"] > 1.0
+        assert main(["schedule", str(dataset), *args]) == 0
+        assert "2 completed, 0 failed" in capsys.readouterr().out
+
 
 class TestFigure:
     def test_figure_with_csv(self, tmp_path, capsys):

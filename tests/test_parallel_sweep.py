@@ -11,8 +11,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.backends import (
+    SerialBackend,
+    SharedMemoryBackend,
+    _worker_count,
+    resolve_backend,
+)
 from repro.experiments.config import SweepConfig
-from repro.experiments.runner import _resolve_jobs, run_instance, run_sweep
+from repro.experiments.runner import run_instance, run_sweep
 from repro.workloads import SyntheticTreeConfig, synthetic_trees
 
 #: Wall-clock measurements, excluded from equality comparisons.
@@ -72,9 +78,10 @@ class TestParallelDeterminism:
         baseline = run_sweep(trees, config.with_overrides(jobs=1))
         assert strip_timings(records) == strip_timings(baseline)
 
-    def test_jobs_exceeding_tree_count(self, trees, config):
-        records = run_sweep(trees[:2], config, jobs=16)
-        assert strip_timings(records) == strip_timings(run_sweep(trees[:2], config, jobs=1))
+    def test_jobs_exceeding_instance_count(self, trees):
+        config = SweepConfig(schedulers=("MemBooking",), memory_factors=(1.5,), processors=(2, 8))
+        records = run_sweep(trees[:1], config, jobs=16)
+        assert strip_timings(records) == strip_timings(run_sweep(trees[:1], config, jobs=1))
 
 
 class TestRunInstance:
@@ -89,23 +96,23 @@ class TestRunInstance:
         assert len(minimums) == 1  # one InstanceContext for every run of the tree
 
 
-class TestResolveJobs:
+class TestWorkerCount:
     def test_explicit_overrides_config(self):
         config = SweepConfig(jobs=4)
-        assert _resolve_jobs(1, config, num_trees=10) == 1
-        assert _resolve_jobs(None, config, num_trees=10) == 4
+        assert isinstance(resolve_backend("auto", config, 10, jobs=1), SerialBackend)
+        backend = resolve_backend(None, config, 10)
+        assert isinstance(backend, SharedMemoryBackend) and backend.jobs == 4
 
     def test_zero_means_cpu_count(self):
         import os
 
-        config = SweepConfig()
-        assert _resolve_jobs(0, config, num_trees=1000) == (os.cpu_count() or 1)
+        assert _worker_count(0, 1000) == (os.cpu_count() or 1)
 
-    def test_capped_by_tree_count(self):
-        assert _resolve_jobs(8, SweepConfig(), num_trees=3) == 3
+    def test_capped_by_unit_count(self):
+        assert _worker_count(8, 3) == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            _resolve_jobs(-1, SweepConfig(), num_trees=3)
+            _worker_count(-1, 3)
         with pytest.raises(ValueError):
             SweepConfig(jobs=-2)

@@ -272,15 +272,13 @@ class TestBackendRecovery:
         injected = _sweep(trees, fault_plan="seed=2;os-transient:2;backoff=0")
         assert records_equal(base, injected, ignore=TIMING_FIELDS)
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
-    def test_worker_crash_recovery(self, trees, backend):
+    def test_worker_crash_recovery(self, trees):
         base = _sweep(trees)
-        # seed 2 fires on some (not all) keys of both key families — the
-        # per-tree keys of the process pool and the per-instance keys of
-        # the shared-memory pool — so one round always makes progress.
+        # seed 2 fires on some (not all) instance keys, so one round always
+        # makes progress.
         injected = _sweep(
             trees,
-            backend=backend,
+            backend="shared-memory",
             jobs=2,
             fault_plan="seed=2;worker-crash:2;watchdog=5;backoff=0.01",
         )
@@ -291,22 +289,21 @@ class TestBackendRecovery:
         assert health.retries >= 1
         assert health.lost_instances == 0
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
-    def test_hang_watchdog_recovery(self, trees, backend):
+    def test_hang_watchdog_recovery(self, trees):
         base = _sweep(trees)
         injected = _sweep(
             trees,
-            backend=backend,
+            backend="shared-memory",
             jobs=2,
             fault_plan="seed=4;hang:2;hang=60;watchdog=3;backoff=0.01",
-            # seed 4 fires on some (not all) keys of both key families.
+            # seed 4 fires on some (not all) instance keys.
         )
         assert records_equal(base, injected, ignore=TIMING_FIELDS)
         health = current_health()
         assert health.injected.get("hang", 0) >= 1
         assert health.timeouts >= 1
 
-    def test_shm_lost_degrades_to_process(self, trees):
+    def test_shm_lost_degrades_to_serial(self, trees):
         base = _sweep(trees)
         injected = _sweep(
             trees, backend="shared-memory", jobs=2, fault_plan="seed=1;shm-lost:1"
@@ -314,7 +311,7 @@ class TestBackendRecovery:
         assert records_equal(base, injected, ignore=TIMING_FIELDS)
         health = current_health()
         assert health.injected.get("shm-lost", 0) == 1
-        assert health.degradations.get("shared-memory->process", 0) == 1
+        assert health.degradations == {"shared-memory->serial": 1}
 
     def test_lane_engine_fault_degrades_batched_to_serial(self, trees):
         config = SMALL.with_overrides(
@@ -334,13 +331,32 @@ class TestBackendRecovery:
         # the sweep still completes, the row lands in the failure plane.
         recs = _sweep(
             trees,
-            backend="process",
+            backend="shared-memory",
             jobs=2,
             fault_plan="seed=1;os-transient:1:99;retries=2;watchdog=10;backoff=0",
         )
         assert all(not r["completed"] for r in recs)
         assert all(str(r["failure_reason"]).startswith(QUARANTINE_PREFIX) for r in recs)
         assert current_health().quarantined_instances == len(recs)
+
+    def test_lost_dispatch_quarantined_parent_side(self, trees):
+        # seed 2 crashes the workers of trees 0 and 2 on every attempt, while
+        # tree 1 completes: after the retry budget the parent quarantines the
+        # two lost instances itself.
+        base = _sweep(trees)
+        recs = _sweep(
+            trees,
+            backend="shared-memory",
+            jobs=2,
+            fault_plan="seed=2;worker-crash:2:99;retries=2;watchdog=2;backoff=0",
+        )
+        reason = f"{QUARANTINE_PREFIX}: dispatch lost after 2 attempts"
+        assert [r["failure_reason"] for r in recs] == [reason, None, reason]
+        assert [r["completed"] for r in recs] == [False, True, False]
+        assert records_equal([recs[1]], [base[1]], ignore=TIMING_FIELDS)
+        health = current_health()
+        assert health.quarantined_instances == 2
+        assert health.lost_instances == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -287,6 +287,22 @@ class TestDaemon:
             )
         assert records_equal([inline], [resident], ignore=TIMING_FIELDS)
 
+    def test_schedule_memory_oblivious_scheduler(self, daemon):
+        """The bound check skips ListNoMemory, which ignores it by design."""
+        tree = synthetic_tree(num_nodes=100, rng=9)
+        with ServiceClient(daemon.address) as client:
+            record = client.schedule(
+                tree=to_dict(tree), scheduler="ListNoMemory", memory_factor=1.5
+            )
+        config = SweepConfig(
+            schedulers=("ListNoMemory",), memory_factors=(1.5,), processors=(8,)
+        )
+        expected = run_single(
+            prepare_instance(tree, 0, config), "ListNoMemory", 8, 1.5, config
+        )
+        assert records_equal([record], [expected], ignore=TIMING_FIELDS)
+        assert record["completed"] and record["memory_fraction"] > 1.0
+
     def test_warm_sweep_serves_exact_bytes_with_zero_fresh(self, daemon, service):
         service.load_dataset("synthetic", "tiny")
         request = dict(

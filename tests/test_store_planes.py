@@ -5,7 +5,7 @@ through ``save_store`` / ``load_store`` / ``to_shared_memory``, version-1
 back-compatibility (plane-less arenas still *write* version-1 bytes and old
 files still load), validation of malformed plane specs, and the consumers —
 ``prepare_instance(planes=...)`` / ``SimWorkspace.from_planes`` and the
-``share_planes`` mode of the shared-memory backend.
+shared-memory backend, whose arena always carries the planes.
 """
 
 from __future__ import annotations
@@ -139,11 +139,9 @@ class TestPlaneConsumers:
             assert ws_a.eo_rank_list == ws_c.eo_rank_list
             assert ws_a.matches(view, adopted.ao, adopted.eo)
 
-    def test_share_planes_backend_records_identical(self, trees, config):
+    def test_shared_memory_backend_records_identical(self, trees, config):
         serial = run_sweep(trees, config, backend=SerialBackend())
-        shared = run_sweep(
-            trees, config, backend=SharedMemoryBackend(jobs=2, share_planes=True)
-        )
+        shared = run_sweep(trees, config, backend=SharedMemoryBackend(jobs=2))
         strip = lambda table: [
             pickle.dumps({k: v for k, v in r.items() if k not in TIMING_FIELDS})
             for r in table

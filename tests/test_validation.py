@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestValidateSchedule:
         report = validate_schedule(two_leaf_tree, result)
         assert not report.valid
         assert any("memory" in e for e in report.errors)
+
+    @pytest.mark.parametrize("native", [False, None])
+    def test_memory_oblivious_skips_only_the_bound(self, two_leaf_tree, native):
+        """ListNoMemory's results ignore the bound: every other check runs."""
+        oblivious = {"memory_oblivious": True}
+        result = _make_result(two_leaf_tree, [0, 0, 2], [2, 2, 5], [0, 1, 0], limit=10.0)
+        report = validate_schedule(two_leaf_tree, replace(result, extras=oblivious), native=native)
+        assert report.valid, report.errors
+        assert report.peak_memory == pytest.approx(11.0)
+        late = _make_result(two_leaf_tree, [0, 0, 1], [2, 2, 4], [0, 1, 0], limit=10.0)
+        report = validate_schedule(two_leaf_tree, replace(late, extras=oblivious), native=native)
+        assert any("before child" in e for e in report.errors)
+        assert not any("memory" in e for e in report.errors)
 
     def test_incomplete_completion_claim_detected(self, two_leaf_tree):
         result = _make_result(
