@@ -8,11 +8,16 @@ sweep.
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.experiments import backends
 from repro.experiments.backends import (
     BACKEND_NAMES,
+    ExecutionBackend,
     SerialBackend,
     SharedMemoryBackend,
     _claim_index,
@@ -22,8 +27,9 @@ from repro.experiments.backends import (
 )
 from repro.experiments.config import SweepConfig
 from repro.experiments.plan import SweepPlan
-from repro.experiments.records import RecordTable
+from repro.experiments.records import RecordTable, records_equal
 from repro.experiments.runner import run_sweep
+from repro.resilience.recovery import drain_pool
 from repro.workloads import SyntheticTreeConfig, synthetic_trees
 
 TIMING_FIELDS = frozenset({"scheduling_seconds", "scheduling_seconds_per_node"})
@@ -110,6 +116,107 @@ class TestRowAccounting:
         with pytest.raises(ValueError, match="outside"):
             _claim_index(np.zeros(1, dtype=bool), 5, 1)
 
+    def test_restores_order(self, serial_records):
+        """Rows written in completion order read back in plan order."""
+        total = len(serial_records)
+        shm, table = RecordTable.create_shared(total)
+        try:
+            for row in [*range(1, total, 2), *range(total - 2, -1, -2)]:
+                table.set_row(row, serial_records.row(row))
+            assert table.copy() == serial_records
+        finally:
+            table.close()
+            shm.close()
+            shm.unlink()
+
+    def test_preserves_failure_and_nonfinite_values(self, serial_records):
+        """A failed row survives the worker write and the parent's reason fix-up."""
+        failed = dict(
+            serial_records.row(0),
+            completed=False,
+            makespan=math.inf,
+            normalized_makespan=math.nan,
+            failure_reason=None,
+        )
+        shm, table = RecordTable.create_shared(1)
+        try:
+            table.set_row(0, failed)
+            table.set_value(0, "failure_reason", "deadlock at t=3: 7 tasks remain")
+            row = table.copy()[0]
+        finally:
+            table.close()
+            shm.close()
+            shm.unlink()
+        assert row["completed"] is False
+        assert row["makespan"] == math.inf
+        assert math.isnan(row["normalized_makespan"])
+        assert row["failure_reason"] == "deadlock at t=3: 7 tasks remain"
+
+    def test_rejects_gaps(self, trees, config, monkeypatch):
+        """A row that neither completed nor was quarantined fails the sweep."""
+        monkeypatch.setattr(backends, "drain_pool", lambda *args: [])
+        with pytest.raises(ValueError, match="incomplete"):
+            SharedMemoryBackend(jobs=2).run(trees, config)
+
+
+def _spy_on_pool(monkeypatch, payloads, outcomes):
+    """Record every task payload the pool dispatches and every outcome it returns."""
+    real = drain_pool
+
+    def spy(make_pool, worker, payload_for, items, settings, handle):
+        def recording_payload(item, attempt):
+            payloads.append(payload_for(item, attempt))
+            return payloads[-1]
+
+        def recording_handle(outcome):
+            outcomes.append(outcome)
+            return handle(outcome)
+
+        return real(make_pool, worker, recording_payload, items, settings, recording_handle)
+
+    monkeypatch.setattr(backends, "drain_pool", spy)
+
+
+class TestPoolTraffic:
+    def test_payloads_are_index_tuples_independent_of_tree_size(self, config, monkeypatch):
+        sent = {}
+        for num_nodes in (30, 600):
+            payloads = sent[num_nodes] = []
+            _spy_on_pool(monkeypatch, payloads, [])
+            trees = synthetic_trees(2, SyntheticTreeConfig(num_nodes=num_nodes), rng=5)
+            SharedMemoryBackend(jobs=2).run(trees, config)
+        assert len(sent[30]) == 2 * runs_per_tree(config)
+        assert sorted(sent[30]) == sorted(sent[600])
+        assert max(len(pickle.dumps(p)) for p in sent[600]) < 200
+
+    def test_results_ship_row_indices(self, trees, config, monkeypatch):
+        """Completed rows return a bare index; failed rows add their reason."""
+        # perfPO at factor 1.0 deadlocks on most of these trees.
+        config = config.with_overrides(activation_order="perfPO", execution_order="perfPO")
+        outcomes = []
+        _spy_on_pool(monkeypatch, [], outcomes)
+        records = SharedMemoryBackend(jobs=2).run(trees, config)
+        shipped = {}
+        for outcome in outcomes:
+            row, reason = outcome if isinstance(outcome, tuple) else (outcome, None)
+            assert isinstance(row, int)
+            shipped[row] = reason
+        serial = SerialBackend().run(trees, config)
+        assert shipped == dict(enumerate(serial.column("failure_reason")))
+        assert None in shipped.values() and any(shipped.values())
+        assert records_equal(records.to_dicts(), serial.to_dicts(), ignore=TIMING_FIELDS)
+
+    def test_single_worker_runs_in_process(self, trees, config, serial_records, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a single worker must not start a pool")
+
+        monkeypatch.setattr(backends, "drain_pool", no_pool)
+        records = SharedMemoryBackend(jobs=1).run(trees, config)
+        assert strip_timings(records) == strip_timings(serial_records)
+        one = SweepConfig(schedulers=("MemBooking",), memory_factors=(2.0,), processors=(2,))
+        records = SharedMemoryBackend(jobs=4).run(trees[:1], one)
+        assert strip_timings(records) == strip_timings(SerialBackend().run(trees[:1], one))
+
 
 class TestResolution:
     def test_auto_serial_for_one_worker(self, config):
@@ -124,6 +231,11 @@ class TestResolution:
     def test_auto_fans_one_tree_out(self, config):
         """The pool splits one tree's instances, so one tree is no cap."""
         assert isinstance(resolve_backend("auto", config, 1, jobs=2), SharedMemoryBackend)
+
+    def test_auto_serial_for_one_instance(self):
+        """A grid of one instance caps the workers at one, whatever ``jobs``."""
+        one = SweepConfig(schedulers=("MemBooking",), memory_factors=(2.0,), processors=(2,))
+        assert isinstance(resolve_backend("auto", one, 1, jobs=4), SerialBackend)
 
     def test_none_defers_to_config(self, config):
         backend = resolve_backend(None, config.with_overrides(backend="shared-memory", jobs=2), 5)
@@ -143,6 +255,25 @@ class TestResolution:
         assert resolved is not backend
         assert resolved.jobs == 1
         assert backend.jobs == 0  # the caller's object is untouched
+
+    def test_custom_backend_instance(self, trees, config, serial_records):
+        """Any ExecutionBackend instance is accepted as is: names are not the only way in."""
+
+        class CountingBackend(ExecutionBackend):
+            name = "counting"
+
+            def __init__(self):
+                self.plans = []
+
+            def run_plan(self, trees, plan):
+                self.plans.append(len(plan))
+                return SerialBackend().run_plan(trees, plan)
+
+        backend = CountingBackend()
+        assert resolve_backend(backend, config, len(trees)) is backend
+        records = run_sweep(trees, config, backend=backend)
+        assert backend.plans == [len(serial_records)]
+        assert strip_timings(records) == strip_timings(serial_records)
 
     def test_unknown_name_rejected(self, config):
         with pytest.raises(ValueError, match="unknown backend"):

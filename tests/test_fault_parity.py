@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.backends import BACKEND_NAMES
 from repro.experiments.config import SweepConfig
+from repro.experiments.plan import SweepPlan, execute_plan
 from repro.experiments.records import records_equal
 from repro.experiments.runner import run_sweep
 from repro.resilience import current_health, reset_fault_state, reset_run_health
@@ -81,6 +82,23 @@ def test_injected_faults_preserve_records(trees, config, backend, seed):
     assert records_equal(base, injected, ignore=TIMING_FIELDS)
     health = current_health()
     # Recoverable plans lose nothing and quarantine nothing.
+    assert health.lost_instances == 0
+    assert health.quarantined_instances == 0
+
+
+@pytest.mark.parametrize("backend", _backends())
+def test_injected_faults_preserve_subset_records(trees, backend):
+    """A subset plan (the cache-miss shape a figure runs) recovers the same bytes."""
+    plan = SweepPlan.from_config(FIG8_LIKE, len(trees))
+    positions = list(range(0, len(plan), 2))
+    base = execute_plan(trees, plan.subset(positions))
+    armed = FIG8_LIKE.with_overrides(
+        backend=backend, jobs=2, fault_plan=RECOVERABLE_PLAN.format(seed=2)
+    )
+    injected = execute_plan(trees, SweepPlan.from_config(armed, len(trees)).subset(positions))
+    assert records_equal(base.to_dicts(), injected.to_dicts(), ignore=TIMING_FIELDS)
+    health = current_health()
+    assert sum(health.injected.values()) > 0
     assert health.lost_instances == 0
     assert health.quarantined_instances == 0
 

@@ -272,13 +272,16 @@ class TestBackendRecovery:
         injected = _sweep(trees, fault_plan="seed=2;os-transient:2;backoff=0")
         assert records_equal(base, injected, ignore=TIMING_FIELDS)
 
-    def test_worker_crash_recovery(self, trees):
+    # "auto" with two workers resolves to the shared-memory pool by name, the
+    # path the CLI takes when no --backend is given.
+    @pytest.mark.parametrize("backend", ["auto", "shared-memory"])
+    def test_worker_crash_recovery(self, trees, backend):
         base = _sweep(trees)
         # seed 2 fires on some (not all) instance keys, so one round always
         # makes progress.
         injected = _sweep(
             trees,
-            backend="shared-memory",
+            backend=backend,
             jobs=2,
             fault_plan="seed=2;worker-crash:2;watchdog=5;backoff=0.01",
         )
@@ -289,11 +292,12 @@ class TestBackendRecovery:
         assert health.retries >= 1
         assert health.lost_instances == 0
 
-    def test_hang_watchdog_recovery(self, trees):
+    @pytest.mark.parametrize("backend", ["auto", "shared-memory"])
+    def test_hang_watchdog_recovery(self, trees, backend):
         base = _sweep(trees)
         injected = _sweep(
             trees,
-            backend="shared-memory",
+            backend=backend,
             jobs=2,
             fault_plan="seed=4;hang:2;hang=60;watchdog=3;backoff=0.01",
             # seed 4 fires on some (not all) instance keys.
